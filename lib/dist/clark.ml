@@ -12,8 +12,9 @@ let mv_create () = { mv_mean = 0.0; mv_var = 0.0; mv_mean2 = 0.0; mv_var2 = 0.0;
 
 (* theta^2 = var1 + var2 - 2 cov is the variance of (t1 - t2); when it
    vanishes the two arrivals differ by a constant and the MAX is exactly
-   the one with the larger mean. *)
-let theta_v ~cov v1 v2 = sqrt (Float.max (v1 +. v2 -. (2.0 *. cov)) 0.0)
+   the one with the larger mean.  Inlined: as a call it would box its
+   three float arguments and its result on every Clark step. *)
+let[@inline] theta_v ~cov v1 v2 = sqrt (Float.max (v1 +. v2 -. (2.0 *. cov)) 0.0)
 let theta ~cov (a : Normal.t) (b : Normal.t) = theta_v ~cov (Normal.variance a) (Normal.variance b)
 
 let tightness ?(cov = 0.0) (a : Normal.t) (b : Normal.t) =

@@ -12,11 +12,20 @@ type component = { weight : float; dist : Normal.t }
 type t
 (** A (possibly empty) mixture.  Empty = no transition ever occurs. *)
 
+val weight_epsilon : float
+(** Components at or below this weight are dropped (1e-15). *)
+
 val empty : t
 val singleton : weight:float -> Normal.t -> t
 (** Raises [Invalid_argument] on a negative weight. *)
 
 val components : t -> component list
+
+val of_components : component list -> t
+(** The mixture with exactly these components, in order; components
+    at or below {!weight_epsilon} are dropped, as by {!singleton}.
+    Raises [Invalid_argument] on a negative weight. *)
+
 val total_weight : t -> float
 (** The t.o.p. integral: occurrence probability of the transition. *)
 
@@ -74,3 +83,45 @@ val quantile : t -> float -> float
 
 val sample : Spsta_util.Rng.t -> t -> float option
 (** Draw an arrival time from the normalised mixture ([None] if empty). *)
+
+(** {2 Float-level cores}
+
+    The moment arithmetic behind {!normalized_moments}/{!as_normal}, the
+    pairwise merge inside {!compact}, and {!compact} itself, exposed for
+    flat kernels that keep components as [(weight, mu, sigma)] float
+    triples.  The list API above runs through these same functions, so
+    both representations share one formula and agree bit for bit. *)
+
+type moments_buf = {
+  mutable mb_weight : float;  (** component in: weight; matched weight out *)
+  mutable mb_mu : float;  (** component in: mean; matched mean out *)
+  mutable mb_sigma : float;  (** component in: stddev; matched stddev out *)
+  mutable mb_total : float;  (** accumulated weight *)
+  mutable mb_m1 : float;  (** accumulated first raw moment *)
+  mutable mb_m2 : float;  (** accumulated second raw moment *)
+}
+(** Caller-owned all-float accumulator: reads, writes and calls never
+    box or allocate.  Reuse one per worker. *)
+
+val moments_buf : unit -> moments_buf
+
+val moments_clear : moments_buf -> unit
+(** Zero the accumulators. *)
+
+val moments_add : moments_buf -> unit
+(** Add the component in [mb_weight]/[mb_mu]/[mb_sigma]. *)
+
+val moments_finish : moments_buf -> unit
+(** Normalise the accumulated moments by [mb_total] (written back into
+    [mb_m1]/[mb_m2]) and write the moment-matched normal into
+    [mb_mu]/[mb_sigma], with [mb_weight = mb_total].  Callers check
+    [mb_total] first: {!as_normal} is [None] at or below
+    {!weight_epsilon}. *)
+
+val compact_slots :
+  moments_buf -> floatarray -> off:int -> len:int -> max_components:int -> int
+(** [compact_slots buf arena ~off ~len ~max_components] is {!compact}
+    in place on the [len] triples starting at triple [off] of [arena]
+    (triple [s] is [arena.(3s), arena.(3s+1), arena.(3s+2)]); returns
+    the number of triples kept, which then occupy the first slots of
+    the range. *)

@@ -33,6 +33,46 @@ type rf_buf = {
 val rf_buf : unit -> rf_buf
 (** A zeroed buffer. *)
 
+(** A flat kernel: per-net state in preallocated arrays, one gate
+    evaluated at a time by CSR index.  {!Sweep} supplies the scheduling
+    every flat kernel shares. *)
+module type KERNEL = sig
+  type t
+  (** The kernel's state and configuration for one sweep. *)
+
+  type scratch
+  (** Per-worker buffers, never shared across domains: {!Sweep} makes
+      one per sequential run and one per parallel chunk. *)
+
+  val circuit : t -> Spsta_netlist.Circuit.t
+  val scratch : t -> scratch
+
+  val seed : t -> scratch -> Spsta_netlist.Circuit.id -> unit
+  (** Write a source net's state. *)
+
+  val eval : t -> scratch -> int -> unit
+  (** Evaluate the gate at CSR index [k] (= its topo position), reading
+      its operands' state and writing only its own net's.  Gates within
+      one level never read each other, so this is what keeps the
+      parallel schedule bit-identical to the sequential one. *)
+end
+
+(** The scheduling of {!Propagate.Make}, re-expressed over CSR gate
+    ranges: sequential sweep, levelized-parallel sweep over the
+    persistent {!Spsta_util.Parallel} pool (same chunking, narrow-level
+    fusion and [max 16 (2 * domains)] cutoff), and dirty-cone update. *)
+module Sweep (K : KERNEL) : sig
+  val run : domains:int -> instrument:(Propagate.level_stat -> unit) option -> K.t -> unit
+  (** Seed every source, then evaluate every gate.  [domains] must
+      already be validated ({!Spsta_util.Parallel.check_domains}).
+      Raises [Invalid_argument] on a circuit with nets but no sources. *)
+
+  val update : K.t -> changed:Spsta_netlist.Circuit.id list -> unit
+  (** Re-seed the changed sources and re-evaluate the combinational
+      fanout cones of [changed] ({!Propagate.dirty_cone}) in sequential
+      order, in place. *)
+end
+
 (** Min/max-separated SSTA: one normal arrival per transition direction
     per net, Clark MAX/MIN folds per gate (the {!Spsta_ssta.Ssta}
     domain). *)

@@ -5,6 +5,23 @@ module Gate_kind = Spsta_logic.Gate_kind
 module Timing_rule = Spsta_logic.Timing_rule
 module Input_spec = Spsta_sim.Input_spec
 
+module type S = Analyzer_intf.S
+
+let default_max_enumerated_fanin = 6
+
+(* Endpoint with the largest normalised mean arrival among those whose
+   transition probability is nonzero, else the deepest endpoint. *)
+let critical_endpoint_by circuit ~total ~mean =
+  match Circuit.endpoints circuit with
+  | [] -> invalid_arg "Analyzer.critical_endpoint: circuit has no endpoints"
+  | (first :: _ as endpoints) -> (
+    match List.filter (fun e -> total e > 0.0) endpoints with
+    | [] ->
+      List.fold_left
+        (fun best e -> if Circuit.level circuit e > Circuit.level circuit best then e else best)
+        first endpoints
+    | e0 :: rest -> List.fold_left (fun best e -> if mean e > mean best then e else best) e0 rest )
+
 module Make (B : Top.BACKEND) = struct
   type signal = { probs : Four_value.t; rise : B.top; fall : B.top }
 
@@ -123,7 +140,7 @@ module Make (B : Top.BACKEND) = struct
         fall = (if d_fall = 0.0 then s.fall else B.shift s.fall d_fall) }
 
   let gate_output ?(gate_delay = 1.0) ?gate_delay_rf ?(delay_sigma = 0.0) ?mis
-      ?(max_enumerated_fanin = 6) kind inputs =
+      ?(max_enumerated_fanin = default_max_enumerated_fanin) kind inputs =
     if inputs = [] then invalid_arg "Analyzer.gate_output: no inputs";
     let base = base_kind kind in
     let inputs = Array.of_list inputs in
@@ -261,24 +278,74 @@ module Make (B : Top.BACKEND) = struct
     (B.mean top, B.stddev top, B.total top)
 
   let critical_endpoint (r : result) direction =
-    match Circuit.endpoints r.circuit with
-    | [] -> invalid_arg "Analyzer.critical_endpoint: circuit has no endpoints"
-    | (first :: _ as endpoints) ->
-      let transitioning =
-        List.filter (fun e -> B.total (direction_top r.per_net.(e) direction) > 0.0) endpoints
-      in
-      ( match transitioning with
-      | [] ->
-        List.fold_left
-          (fun best e ->
-            if Circuit.level r.circuit e > Circuit.level r.circuit best then e else best)
-          first endpoints
-      | e0 :: rest ->
-        List.fold_left
-          (fun best e ->
-            let mean_of x = B.mean (direction_top r.per_net.(x) direction) in
-            if mean_of e > mean_of best then e else best)
-          e0 rest )
+    let top e = direction_top r.per_net.(e) direction in
+    critical_endpoint_by r.circuit ~total:(fun e -> B.total (top e)) ~mean:(fun e -> B.mean (top e))
 end
 
-module Moments = Make (Top.Moment_backend)
+(* The moment instantiation runs on the flat kernel ({!Moment_kernel});
+   the record functor at the same backend is its oracle, and supplies
+   the per-gate step, the source signal and the sanitizer predicate. *)
+module Moments = struct
+  module Oracle = Make (Top.Moment_backend)
+
+  type signal = Oracle.signal = {
+    probs : Four_value.t;
+    rise : Top.Moment_backend.top;
+    fall : Top.Moment_backend.top;
+  }
+
+  type result = Moment_kernel.t
+
+  let source_signal = Oracle.source_signal
+  let gate_output = Oracle.gate_output
+  let transition_stats = Oracle.transition_stats
+  let circuit = Moment_kernel.circuit
+
+  let signal r id =
+    { probs = Moment_kernel.probs r id; rise = Moment_kernel.top r `Rise id;
+      fall = Moment_kernel.top r `Fall id }
+
+  let params ?(gate_delay = 1.0) ?(delay_sigma = 0.0) ?delay_of ?delay_rf ?mis
+      ?(max_enumerated_fanin = default_max_enumerated_fanin) ?check circuit ~spec =
+    let source id =
+      let s = source_signal (spec id) in
+      (s.probs, s.rise, s.fall)
+    in
+    (* [delay_of] then [delay_rf], each once per evaluated gate, as the
+       record path's [gate_eval] calls them *)
+    let delay g (b : Spsta_engine.Flat.rf_buf) =
+      let d = match delay_of with Some f -> f g | None -> gate_delay in
+      match delay_rf with
+      | Some f ->
+        let d_rise, d_fall = f g in
+        b.Spsta_engine.Flat.rise_mu <- d_rise;
+        b.Spsta_engine.Flat.fall_mu <- d_fall
+      | None ->
+        b.Spsta_engine.Flat.rise_mu <- d;
+        b.Spsta_engine.Flat.fall_mu <- d
+    in
+    let check =
+      if Propagate.Sanitize.resolve check then
+        Some (fun r id -> Oracle.signal_check circuit id (signal r id))
+      else None
+    in
+    { Moment_kernel.source; delay; delay_sigma; mis; max_enumerated_fanin; check }
+
+  let analyze ?gate_delay ?delay_sigma ?delay_of ?delay_rf ?mis ?max_enumerated_fanin ?check
+      ?domains ?instrument circuit ~spec =
+    Moment_kernel.run
+      (params ?gate_delay ?delay_sigma ?delay_of ?delay_rf ?mis ?max_enumerated_fanin ?check
+         circuit ~spec)
+      ?domains ?instrument circuit
+
+  let update ?gate_delay ?delay_sigma ?delay_of ?delay_rf ?mis ?max_enumerated_fanin ?check r
+      ~changed ~spec =
+    Moment_kernel.update
+      (params ?gate_delay ?delay_sigma ?delay_of ?delay_rf ?mis ?max_enumerated_fanin ?check
+         (circuit r) ~spec)
+      r ~changed
+
+  let critical_endpoint r direction =
+    critical_endpoint_by (circuit r) ~total:(Moment_kernel.total r direction)
+      ~mean:(Moment_kernel.mean r direction)
+end

@@ -30,6 +30,8 @@ module type BACKEND = sig
   end
 end
 
+let moment_max_components = 16
+
 module Moment_backend : BACKEND with type top = Mixture.t = struct
   type top = Mixture.t
 
@@ -59,7 +61,7 @@ module Moment_backend : BACKEND with type top = Mixture.t = struct
 
   let mean = Mixture.mean
   let stddev = Mixture.stddev
-  let compact top = Mixture.compact ~max_components:16 top
+  let compact top = Mixture.compact ~max_components:moment_max_components top
   let dropped _ = 0.0
   let check ~what top = Spsta_lint.Invariant.(first (check_mixture ~what top))
 

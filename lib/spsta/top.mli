@@ -71,6 +71,10 @@ module type BACKEND = sig
   end
 end
 
+val moment_max_components : int
+(** The component cap (16) {!Moment_backend.compact} bounds every gate
+    output's mixture to. *)
+
 module Moment_backend : BACKEND with type top = Spsta_dist.Mixture.t
 
 val discrete_backend :

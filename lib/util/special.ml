@@ -6,8 +6,9 @@
    coefficient (tens of millions of minor-heap words per million-gate
    sweep).  The nesting order matches the former
    [Array.fold_right (fun c acc -> c +. t *. acc) coeffs 0.0] exactly,
-   so results are bit-identical. *)
-let erfc x =
+   so results are bit-identical.  Inlined into [normal_cdf], which would
+   otherwise box the argument and result of this call per Clark step. *)
+let[@inline] erfc x =
   let z = Float.abs x in
   let t = 1.0 /. (1.0 +. (0.5 *. z)) in
   let poly =

@@ -77,9 +77,36 @@ let test_untouched_cone_shared () =
     Array.to_list (Circuit.topo_gates c) |> List.filter (fun g -> not (Hashtbl.mem dirty g))
   in
   Alcotest.(check bool) "some clean gates exist" true (clean_gates <> []);
+  (* the flat kernel copies the result into a fresh arena: clean nets
+     are bitwise unchanged *)
+  let bits x = Int64.bits_of_float x in
+  let top_bits m =
+    List.map
+      (fun (c : Spsta_dist.Mixture.component) ->
+        ( bits c.Spsta_dist.Mixture.weight,
+          bits (Spsta_dist.Normal.mean c.Spsta_dist.Mixture.dist),
+          bits (Spsta_dist.Normal.stddev c.Spsta_dist.Mixture.dist) ))
+      (Spsta_dist.Mixture.components m)
+  in
+  let signal_bits (s : A.signal) =
+    ( List.map bits
+        Four_value.[ s.A.probs.p_zero; s.A.probs.p_one; s.A.probs.p_rise; s.A.probs.p_fall ],
+      top_bits s.A.rise,
+      top_bits s.A.fall )
+  in
   List.iter
     (fun g ->
-      Alcotest.(check bool) "clean gate shared" true (A.signal base g == A.signal incremental g))
+      Alcotest.(check bool) "clean gate bitwise unchanged" true
+        (signal_bits (A.signal base g) = signal_bits (A.signal incremental g)))
+    clean_gates;
+  (* the record engine shares clean states physically *)
+  let module R = Spsta_core.Analyzer.Make (Spsta_core.Top.Moment_backend) in
+  let base = R.analyze c ~spec in
+  let incremental = R.update base ~changed:[ changed_source ] ~spec in
+  List.iter
+    (fun g ->
+      Alcotest.(check bool) "clean gate physically shared (record engine)" true
+        (R.signal base g == R.signal incremental g))
     clean_gates
 
 let test_noop_update () =
