@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench examples clean doc quickbench serve-smoke session-smoke bench-json bench-compare lint check-smoke size-smoke scale-smoke static-smoke
+.PHONY: all build test bench examples clean doc quickbench serve-smoke session-smoke bench-json bench-compare lint check-smoke size-smoke scale-smoke static-smoke perfbench-selftest
 
 all: build
 
@@ -37,6 +37,12 @@ bench-compare:
 	SPSTA_BENCH_CIRCUITS=s344,s1238 SPSTA_BENCH_RUNS=500 SPSTA_BENCH_SCALE=c100k \
 	dune exec bench/main.exe -- --json BENCH_current.json \
 	  --history bench_history.jsonl --compare BENCH_spsta.json --threshold 0.25
+
+# the repo benchmark (BENCHMARK.json, perfbench/) runs its own tests at
+# smoke size: every workload end to end, the output checks and the
+# metric plumbing (~15 s)
+perfbench-selftest:
+	sh perfbench/run.sh --self-test
 
 examples:
 	dune exec examples/quickstart.exe

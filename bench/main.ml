@@ -788,31 +788,28 @@ let json_bench_scale ~domains name =
       (Spsta_analysis.Static.fact_counts static)
   in
   let ratio num den = if den > 0.0 then num /. den else 0.0 in
-  let with_grid = gates <= 200_000 in
-  let grid_fields =
-    if not with_grid then []
-    else begin
-      let spec = Experiments.Workloads.spec_fn Experiments.Workloads.Case_i in
-      let t_moment, _, n_moment =
-        wall_best (fun () -> Analyzer.Moments.analyze circuit ~spec)
-      in
-      let t_moment_par, _, n_moment_par =
-        wall_best (fun () -> Analyzer.Moments.analyze ~domains circuit ~spec)
-      in
-      [ ("moment_s", Json.float t_moment);
-        ("moment_parallel_s", Json.float t_moment_par);
-        ("moment_domains", Json.float (ratio t_moment t_moment_par));
-        ("moment_n", Json.int n_moment);
-        ("moment_parallel_n", Json.int n_moment_par) ]
-    end
+  (* the paper's own analysis at every scale, on the flat moment kernel *)
+  let spec = Experiments.Workloads.spec_fn Experiments.Workloads.Case_i in
+  let t_moment, _, n_moment = wall_best (fun () -> Analyzer.Moments.analyze circuit ~spec) in
+  let t_moment_par, _, n_moment_par =
+    wall_best (fun () -> Analyzer.Moments.analyze ~domains circuit ~spec)
+  in
+  let moment_fields =
+    [ ("moment_s", Json.float t_moment);
+      ("moment_parallel_s", Json.float t_moment_par);
+      ("moment_domains", Json.float (ratio t_moment t_moment_par));
+      ("moment_n", Json.int n_moment);
+      ("moment_parallel_n", Json.int n_moment_par) ]
   in
   Printf.eprintf
     "  %-8s gen %.2fs ssta %.3fs (par %.3fs, x%.2f) update %.5fs (x%.0f, %d dirty) \
-src-update %.5fs (x%.0f, %d dirty) lint %.3fs (%d findings) static %.3fs (%d facts)\n%!"
+src-update %.5fs (x%.0f, %d dirty) lint %.3fs (%d findings) static %.3fs (%d facts) \
+moment %.3fs (par %.3fs)\n%!"
     name t_gen t_ssta t_ssta_par (ratio t_ssta t_ssta_par) t_upd (ratio t_ssta t_upd)
     dirty_gates t_src_upd (ratio t_ssta t_src_upd) src_dirty t_lint (List.length findings)
     t_static
-    (Spsta_analysis.Static.total_facts static);
+    (Spsta_analysis.Static.total_facts static)
+    t_moment t_moment_par;
   Json.Obj
     ([ ("name", Json.string name);
        ("gates", Json.int gates);
@@ -839,7 +836,7 @@ src-update %.5fs (x%.0f, %d dirty) lint %.3fs (%d findings) static %.3fs (%d fac
             ("source_update_s", Json.int n_src_upd);
             ("lint_s", Json.int n_lint);
             ("static_s", Json.int n_static) ]) ]
-    @ grid_fields)
+    @ moment_fields)
 
 let scale_names () =
   match Sys.getenv_opt "SPSTA_BENCH_SCALE" with

@@ -78,7 +78,10 @@ let prob_one t p =
       total := !total +. !w
     end
   done;
-  !total
+  (* the row products sum to 1 only up to rounding (OR3 of 0.9952...,
+     0.0670..., 0.999999999999996 sums to 1.0000000000000002): clamp, so
+     the result is a probability a downstream gate accepts *)
+  Float.min 1.0 (Float.max 0.0 !total)
 
 let count_ones t =
   let n = ref 0 in

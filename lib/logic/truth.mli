@@ -49,7 +49,8 @@ val depends_on : t -> int -> bool
 val prob_one : t -> float array -> float
 (** [prob_one t p] = P(f = 1) when input [i] is an independent Bernoulli
     with P(one) = p.(i) (eq. 5 generalised).  Array length must equal the
-    arity; probabilities must lie in [0, 1]. *)
+    arity; probabilities must lie in [0, 1].  The sum of row products is
+    clamped into [0, 1], absorbing rounding that would overshoot 1. *)
 
 val count_ones : t -> int
 (** Number of satisfying assignments. *)

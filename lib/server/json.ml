@@ -164,12 +164,21 @@ let parse_number c =
   | Some x -> Num x
   | None -> fail start "invalid number %s" s
 
-let rec parse_value c =
+(* Arrays and objects nest at most this deep: the parser recurses once
+   per level, and a hostile frame of a hundred thousand ['[']s must end
+   in a [Parse_error] (a [bad_json] response), not a stack overflow. *)
+let max_depth = 512
+
+let rec parse_value ?(depth = 0) c =
   skip_ws c;
+  let nested () =
+    if depth >= max_depth then fail c.pos "nesting deeper than %d levels" max_depth;
+    c.pos <- c.pos + 1
+  in
   match peek c with
   | None -> fail c.pos "unexpected end of input"
   | Some '{' ->
-    c.pos <- c.pos + 1;
+    nested ();
     skip_ws c;
     if peek c = Some '}' then begin
       c.pos <- c.pos + 1;
@@ -182,7 +191,7 @@ let rec parse_value c =
         let key = parse_string_body c in
         skip_ws c;
         expect c ':';
-        let v = parse_value c in
+        let v = parse_value ~depth:(depth + 1) c in
         fields := (key, v) :: !fields;
         skip_ws c;
         match peek c with
@@ -196,7 +205,7 @@ let rec parse_value c =
       Obj (List.rev !fields)
     end
   | Some '[' ->
-    c.pos <- c.pos + 1;
+    nested ();
     skip_ws c;
     if peek c = Some ']' then begin
       c.pos <- c.pos + 1;
@@ -205,7 +214,7 @@ let rec parse_value c =
     else begin
       let items = ref [] in
       let rec elements () =
-        let v = parse_value c in
+        let v = parse_value ~depth:(depth + 1) c in
         items := v :: !items;
         skip_ws c;
         match peek c with

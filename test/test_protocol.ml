@@ -211,6 +211,21 @@ let test_reject_bad_json () =
   let e = decode_error "[1,2,3]" in
   Alcotest.check code "non-object" Protocol.Bad_json e.Protocol.code
 
+(* nesting is bounded: a 100k-deep frame is a bad_json error, not a
+   stack overflow, while ordinary requests are unaffected *)
+let test_reject_deep_nesting () =
+  let deep = String.make 100_000 '[' in
+  let e = decode_error deep in
+  Alcotest.check code "100k-deep frame" Protocol.Bad_json e.Protocol.code;
+  let nest n = String.make n '[' ^ String.make n ']' in
+  Alcotest.(check bool) "512 levels parse" true
+    (Option.is_some (Spsta_server.Json.of_string_opt (nest 512)));
+  Alcotest.(check bool) "513 levels rejected" true
+    (Option.is_none (Spsta_server.Json.of_string_opt (nest 513)));
+  match Protocol.request_of_line "{\"id\":\"r1\",\"kind\":\"analyze\",\"circuit\":\"s27\"}" with
+  | Ok r -> Alcotest.(check string) "ordinary request decodes" "r1" r.Protocol.id
+  | Error _ -> Alcotest.fail "ordinary request rejected"
+
 let test_reject_unknown_kind () =
   let e = decode_error "{\"id\":\"x\",\"kind\":\"frobnicate\"}" in
   Alcotest.check code "unknown kind" Protocol.Unknown_kind e.Protocol.code;
@@ -268,6 +283,7 @@ let suite =
     Alcotest.test_case "response round trip" `Quick test_response_round_trip;
     Alcotest.test_case "error code names" `Quick test_error_code_names;
     Alcotest.test_case "reject bad json" `Quick test_reject_bad_json;
+    Alcotest.test_case "reject deep nesting" `Quick test_reject_deep_nesting;
     Alcotest.test_case "reject unknown kind" `Quick test_reject_unknown_kind;
     Alcotest.test_case "reject missing field" `Quick test_reject_missing_field;
     Alcotest.test_case "reject bad field" `Quick test_reject_bad_field;

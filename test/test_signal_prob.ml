@@ -131,8 +131,35 @@ let test_correlation_accessor () =
   let b = Circuit.find_exn c "b" in
   Alcotest.(check (float 1e-9)) "independent sources" 0.0 (Correlated_prob.correlation r a b)
 
+(* OR3 whose row products sum past 1 feeding an AND2: unclamped, the
+   AND's [Truth.prob_one] rejected its 1.0000000000000002 operand *)
+let test_overshoot_propagates () =
+  let b = Circuit.Builder.create () in
+  List.iter (Circuit.Builder.add_input b) [ "a"; "b"; "c"; "d" ];
+  Circuit.Builder.add_gate b ~output:"y" Gate_kind.Or [ "a"; "b"; "c" ];
+  Circuit.Builder.add_gate b ~output:"z" Gate_kind.And [ "y"; "d" ];
+  Circuit.Builder.add_output b "z";
+  let c = Circuit.Builder.finalize b in
+  let p_source id =
+    match Circuit.net_name c id with
+    | "a" -> 0.9952932513203744
+    | "b" -> 0.06708709781032629
+    | "c" -> 0.999999999999996
+    | _ -> 0.5
+  in
+  let r = Signal_prob.compute c ~p_source in
+  Alcotest.(check (float 0.0)) "OR3 clamped to 1" 1.0 (Signal_prob.prob r (Circuit.find_exn c "y"));
+  Alcotest.(check (float 0.0)) "AND2 downstream" 0.5 (Signal_prob.prob r (Circuit.find_exn c "z"));
+  (* the transition densities read the same probabilities *)
+  let td =
+    Spsta_power.Transition_density.compute c ~p_one:(Signal_prob.prob r) ~source_rate:(fun _ -> 0.2)
+  in
+  Alcotest.(check bool) "density downstream is finite" true
+    (Float.is_finite (Spsta_power.Transition_density.density td (Circuit.find_exn c "z")))
+
 let suite =
   [
+    Alcotest.test_case "rounding overshoot propagates clamped" `Quick test_overshoot_propagates;
     Alcotest.test_case "gate closed forms" `Quick test_gate_closed_forms;
     Alcotest.test_case "source validation" `Quick test_validation;
     Alcotest.test_case "exact on trees" `Quick test_tree_exact;

@@ -109,8 +109,23 @@ let diff_invariant_under_inversion =
       let f = Truth.create ~arity:2 (fun a -> table.(a)) in
       Truth.equal (Truth.boolean_difference f i) (Truth.boolean_difference (Truth.lnot f) i))
 
+(* the row products of this OR3 sum to 1.0000000000000002 unclamped *)
+let overshooting_or3 = [| 0.9952932513203744; 0.06708709781032629; 0.999999999999996 |]
+
+let test_prob_one_clamped () =
+  let or3 = Truth.of_gate Gate_kind.Or ~arity:3 in
+  let p = Truth.prob_one or3 overshooting_or3 in
+  Alcotest.(check bool) (Printf.sprintf "P(OR3) = %.17g within [0, 1]" p) true (p <= 1.0);
+  Alcotest.(check (float 0.0)) "clamped to exactly 1" 1.0 p;
+  (* an in-range result is untouched, bit for bit *)
+  let and2 = Truth.of_gate Gate_kind.And ~arity:2 in
+  Alcotest.(check bool) "AND2 bit-identical" true
+    (Int64.equal (Int64.bits_of_float (Truth.prob_one and2 [| 0.3; 0.7 |]))
+       (Int64.bits_of_float ((0.3 *. 0.7) +. 0.0)))
+
 let suite =
   [
+    Alcotest.test_case "prob_one clamped into [0, 1]" `Quick test_prob_one_clamped;
     Alcotest.test_case "var" `Quick test_var;
     Alcotest.test_case "var validation" `Quick test_var_invalid;
     Alcotest.test_case "const" `Quick test_const;
