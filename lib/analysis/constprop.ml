@@ -190,12 +190,4 @@ let num_bounded t =
   done;
   !n
 
-let mask t =
-  let n = Array.length t.lo in
-  let b = Bytes.make n '\000' in
-  for id = 0 to n - 1 do
-    if const_of t id <> None then Bytes.set b id '\001'
-  done;
-  b
-
 let stats t = t.stats

@@ -13,8 +13,8 @@
     {e static constant}: controlling values propagate through
     {!Spsta_logic.Gate_kind} semantics (AND with a constant-0 input is
     constant 0, etc.), so one constant seeds a folded cone.  Downstream
-    consumers ({!Spsta_ssta.Ssta}, lint rule [constant-logic]) read the
-    constant set as a {!mask}.
+    consumers ({!Observability}, lint rule [constant-logic]) read the
+    constant set through {!const_of} and {!constants}.
 
     Sources default to [[0,1]]; [p_source] pins a source to a point
     probability (and exact 0/1 pins make it a constant).  Pinned
@@ -46,17 +46,12 @@ val const_of : t -> Spsta_netlist.Circuit.id -> bool option
 val constants : t -> Spsta_netlist.Circuit.id list
 (** Gate-driven nets that are static constants, in topological order
     (pinned constant sources are the caller's spec, not a discovery,
-    and are excluded here — but they do appear in {!mask}). *)
+    and are excluded here — {!const_of} still reports them). *)
 
 val num_constants : t -> int
 (** [List.length (constants t)]. *)
 
 val num_bounded : t -> int
 (** Nets whose interval is strictly narrower than [[0,1]]. *)
-
-val mask : t -> Bytes.t
-(** Per-net constant mask (['\001'] where constant, including constant
-    sources), indexed by net id — the shape
-    {!Spsta_ssta.Ssta.analyze}'s [constant_mask] expects. *)
 
 val stats : t -> Dataflow.stats

@@ -73,52 +73,34 @@ module Sweep (K : KERNEL) = struct
         let lo, hi = bounds.(c) in
         seq_range t scratch (glo + lo) (glo + hi))
 
-  let sweep ~domains ~instrument t =
-    let circuit = K.circuit t in
-    let csr = Circuit.csr circuit in
+  let sweep ~domains t =
+    let csr = Circuit.csr (K.circuit t) in
     let level_off = csr.Circuit.level_off in
     let nlev = Array.length level_off - 1 in
-    match instrument with
-    | None when domains = 1 -> seq_range t (K.scratch t) 0 (Array.length csr.Circuit.gate_net)
-    | Some f ->
-      (* instrumented path: exact per-level stats, no fusion *)
-      let cutoff = wide_cutoff domains in
-      let scratch = K.scratch t in
-      for l = 0 to nlev - 1 do
-        let glo = level_off.(l) and ghi = level_off.(l + 1) in
-        let width = ghi - glo in
-        let start = Unix.gettimeofday () in
-        if domains = 1 || width < cutoff then seq_range t scratch glo ghi
-        else par_range ~domains t glo ghi;
-        f
-          { Propagate.level = Circuit.level circuit csr.Circuit.gate_net.(glo);
-            gates = width;
-            (* clamped: [gettimeofday] is not monotone, and a clock
-               step must not report a negative level time *)
-            elapsed_s = Float.max 0.0 (Unix.gettimeofday () -. start) }
-      done
-    | None ->
+    let scratch = K.scratch t in
+    if domains = 1 then seq_range t scratch 0 (Array.length csr.Circuit.gate_net)
+    else begin
       (* runs of adjacent narrow levels are fused; levels are contiguous
          CSR ranges, so a fused run is just a longer range *)
       let cutoff = wide_cutoff domains in
-      let scratch = K.scratch t in
       let l = ref 0 in
       while !l < nlev do
         let glo = level_off.(!l) in
-        if domains > 1 && level_off.(!l + 1) - glo >= cutoff then begin
+        if level_off.(!l + 1) - glo >= cutoff then begin
           par_range ~domains t glo level_off.(!l + 1);
           incr l
         end
         else begin
           incr l;
-          while !l < nlev && (domains = 1 || level_off.(!l + 1) - level_off.(!l) < cutoff) do
+          while !l < nlev && level_off.(!l + 1) - level_off.(!l) < cutoff do
             incr l
           done;
           seq_range t scratch glo level_off.(!l)
         end
       done
+    end
 
-  let run ~domains ~instrument t =
+  let run ~domains t =
     let circuit = K.circuit t in
     (match Circuit.sources circuit with
     | [] ->
@@ -128,7 +110,7 @@ module Sweep (K : KERNEL) = struct
     | sources ->
       let scratch = K.scratch t in
       List.iter (K.seed t scratch) sources);
-    sweep ~domains ~instrument t
+    sweep ~domains t
 
   let update t ~changed =
     let circuit = K.circuit t in
@@ -334,7 +316,7 @@ module Ssta = struct
       fanin = csr.Circuit.fanin;
     }
 
-  let run ~source ~delay ?check ?domains ?instrument circuit =
+  let run ~source ~delay ?check ?domains circuit =
     let domains = match domains with Some d -> Parallel.check_domains d | None -> 1 in
     let n = Circuit.num_nets circuit in
     let st =
@@ -348,21 +330,20 @@ module Ssta = struct
         fall_sigma = FA.make n 0.0;
       }
     in
-    S.run ~domains ~instrument (kernel st { source; delay; check });
+    S.run ~domains (kernel st { source; delay; check });
     st
 
   let update ~source ~delay ?check st ~changed =
-    let st' =
-      {
-        st with
-        rise_mean = FA.copy st.rise_mean;
-        rise_sigma = FA.copy st.rise_sigma;
-        fall_mean = FA.copy st.fall_mean;
-        fall_sigma = FA.copy st.fall_sigma;
-      }
-    in
-    S.update (kernel st' { source; delay; check }) ~changed;
-    st'
+    S.update (kernel st { source; delay; check }) ~changed
+
+  let copy st =
+    {
+      st with
+      rise_mean = FA.copy st.rise_mean;
+      rise_sigma = FA.copy st.rise_sigma;
+      fall_mean = FA.copy st.fall_mean;
+      fall_sigma = FA.copy st.fall_sigma;
+    }
 
   let circuit st = st.circuit
   let rise_mean st id = FA.get st.rise_mean id
@@ -442,17 +423,15 @@ module Sta = struct
       fanin = csr.Circuit.fanin;
     }
 
-  let run ~source ~delay ?check ?domains ?instrument circuit =
+  let run ~source ~delay ?check ?domains circuit =
     let domains = match domains with Some d -> Parallel.check_domains d | None -> 1 in
     let n = Circuit.num_nets circuit in
     let st = { circuit; early = FA.make n 0.0; late = FA.make n 0.0 } in
-    S.run ~domains ~instrument (kernel st { source; delay; check });
+    S.run ~domains (kernel st { source; delay; check });
     st
 
   let update ~source ~delay ?check st ~changed =
-    let st' = { st with early = FA.copy st.early; late = FA.copy st.late } in
-    S.update (kernel st' { source; delay; check }) ~changed;
-    st'
+    S.update (kernel st { source; delay; check }) ~changed
 
   let circuit st = st.circuit
   let earliest st id = FA.get st.early id

@@ -13,8 +13,9 @@
 
     Scheduling (sequential sweep, levelized-parallel sweep over the
     persistent {!Spsta_util.Parallel} pool with narrow-level fusion,
-    dirty-cone incremental update via {!Propagate.dirty_cone}) mirrors
-    the record engine exactly, and every fold replays the record
+    in-place dirty-cone incremental update via
+    {!Propagate.dirty_cone}) mirrors the record engine exactly, and
+    every fold replays the record
     engine's operation order — results are bit-identical (IEEE-exact)
     to the record engine at every domain count.  The analyzers
     ({!Spsta_ssta.Ssta}, {!Spsta_ssta.Sta}) route through these kernels
@@ -62,7 +63,7 @@ end
     persistent {!Spsta_util.Parallel} pool (same chunking, narrow-level
     fusion and [max 16 (2 * domains)] cutoff), and dirty-cone update. *)
 module Sweep (K : KERNEL) : sig
-  val run : domains:int -> instrument:(Propagate.level_stat -> unit) option -> K.t -> unit
+  val run : domains:int -> K.t -> unit
   (** Seed every source, then evaluate every gate.  [domains] must
       already be validated ({!Spsta_util.Parallel.check_domains}).
       Raises [Invalid_argument] on a circuit with nets but no sources. *)
@@ -92,14 +93,12 @@ module Ssta : sig
     delay:(Spsta_netlist.Circuit.id -> rf_buf -> unit) ->
     ?check:check ->
     ?domains:int ->
-    ?instrument:(Propagate.level_stat -> unit) ->
     Spsta_netlist.Circuit.t ->
     state
   (** Full sweep.  [source] fills the buffer with a source net's arrival
       moments; [delay] fills it with a gate's (rise, fall) delay moments
-      and is called exactly once per evaluated gate.  [domains],
-      [instrument] and the scheduling cutoffs behave exactly as in
-      {!Propagate.Make.run}. *)
+      and is called exactly once per evaluated gate.  [domains] and the
+      scheduling cutoffs behave exactly as in {!Propagate.Make.run}. *)
 
   val update :
     source:(Spsta_netlist.Circuit.id -> rf_buf -> unit) ->
@@ -107,12 +106,16 @@ module Ssta : sig
     ?check:check ->
     state ->
     changed:Spsta_netlist.Circuit.id list ->
-    state
-  (** Dirty-cone incremental re-propagation, {!Propagate.Make.update}
-      semantics: re-seeds changed sources, re-evaluates exactly the
-      combinational fanout cones in sequential order ([delay] is called
-      once per dirty gate), shares slots outside the cones by copying
-      the arrays.  The input state is not mutated. *)
+    unit
+  (** Dirty-cone incremental re-propagation in place,
+      {!Propagate.Make.update} semantics: re-seeds changed sources and
+      re-evaluates exactly the combinational fanout cones in sequential
+      order ([delay] is called once per dirty gate).  Slots outside the
+      cones are not touched. *)
+
+  val copy : state -> state
+  (** A fresh state with the same slot values, for a caller that must
+      keep the original across an {!update}. *)
 
   val circuit : state -> Spsta_netlist.Circuit.t
   val rise_mean : state -> Spsta_netlist.Circuit.id -> float
@@ -138,7 +141,6 @@ module Sta : sig
     delay:(Spsta_netlist.Circuit.id -> float) ->
     ?check:check ->
     ?domains:int ->
-    ?instrument:(Propagate.level_stat -> unit) ->
     Spsta_netlist.Circuit.t ->
     state
 
@@ -148,7 +150,8 @@ module Sta : sig
     ?check:check ->
     state ->
     changed:Spsta_netlist.Circuit.id list ->
-    state
+    unit
+  (** In place, as {!Ssta.update}. *)
 
   val circuit : state -> Spsta_netlist.Circuit.t
   val earliest : state -> Spsta_netlist.Circuit.id -> float

@@ -3,8 +3,6 @@ module Parallel = Spsta_util.Parallel
 
 type 'state result = { circuit : Circuit.t; per_net : 'state array }
 
-type level_stat = { level : int; gates : int; elapsed_s : float }
-
 module type DOMAIN = sig
   type state
 
@@ -179,51 +177,32 @@ module Make (D : DOMAIN) = struct
           step circuit per_net scratch gates.(i)
         done)
 
-  let sweep_levels ~domains ~instrument circuit per_net =
+  (* runs of adjacent narrow levels are fused into one sequential batch
+     on the calling domain — zero scheduler interaction — so only the
+     genuinely wide levels pay a barrier *)
+  let sweep_levels ~domains circuit per_net =
     let by_level = Circuit.gates_by_level circuit in
     let cutoff = wide_cutoff domains in
     let scratch = scratch_create () in
-    match instrument with
-    | Some f ->
-      (* instrumented path: exact per-level stats, no fusion *)
-      Array.iter
-        (fun gates ->
-          let width = Array.length gates in
-          let start = Unix.gettimeofday () in
-          if domains = 1 || width < cutoff then Array.iter (step circuit per_net scratch) gates
-          else par_level ~domains circuit per_net gates;
-          f
-            { level = Circuit.level circuit gates.(0);
-              gates = width;
-              (* clamped: [gettimeofday] is not monotone, and a clock
-                 step must not report a negative level time *)
-              elapsed_s = Float.max 0.0 (Unix.gettimeofday () -. start) })
-        by_level
-    | None ->
-      (* runs of adjacent narrow levels are fused into one sequential
-         batch on the calling domain — zero scheduler interaction —
-         so only the genuinely wide levels pay a barrier *)
-      let nlev = Array.length by_level in
-      let i = ref 0 in
-      while !i < nlev do
-        let gates = by_level.(!i) in
-        if domains > 1 && Array.length gates >= cutoff then begin
-          par_level ~domains circuit per_net gates;
+    let nlev = Array.length by_level in
+    let i = ref 0 in
+    while !i < nlev do
+      let gates = by_level.(!i) in
+      if Array.length gates >= cutoff then begin
+        par_level ~domains circuit per_net gates;
+        incr i
+      end
+      else begin
+        Array.iter (step circuit per_net scratch) gates;
+        incr i;
+        while !i < nlev && Array.length by_level.(!i) < cutoff do
+          Array.iter (step circuit per_net scratch) by_level.(!i);
           incr i
-        end
-        else begin
-          Array.iter (step circuit per_net scratch) gates;
-          incr i;
-          while
-            !i < nlev && (domains = 1 || Array.length by_level.(!i) < cutoff)
-          do
-            Array.iter (step circuit per_net scratch) by_level.(!i);
-            incr i
-          done
-        end
-      done
+        done
+      end
+    done
 
-  let run ?domains ?instrument circuit =
+  let run ?domains circuit =
     let domains =
       match domains with Some d -> Parallel.check_domains d | None -> 1
     in
@@ -239,17 +218,17 @@ module Make (D : DOMAIN) = struct
          (seeded below) or a gate (written before it is ever read) *)
       let per_net = Array.make n (D.source s0) in
       List.iter (fun s -> per_net.(s) <- D.source s) sources;
-      if domains = 1 && Option.is_none instrument then begin
+      if domains = 1 then begin
         let scratch = scratch_create () in
         Array.iter (step circuit per_net scratch) (Circuit.topo_gates circuit)
       end
-      else sweep_levels ~domains ~instrument circuit per_net;
+      else sweep_levels ~domains circuit per_net;
       { circuit; per_net }
 
   let update r ~changed =
     let circuit = r.circuit in
     let cone = dirty_cone circuit ~changed in
-    let per_net = Array.copy r.per_net in
+    let per_net = r.per_net in
     (* refresh changed sources (their seed is what changed); marking
        itself never reaches a source — fanout targets are always gates
        or register D pins — so the changed roots are the only
@@ -261,6 +240,5 @@ module Make (D : DOMAIN) = struct
         | Circuit.Gate _ -> ())
       changed;
     let scratch = scratch_create () in
-    Array.iter (step circuit per_net scratch) cone;
-    { circuit; per_net }
+    Array.iter (step circuit per_net scratch) cone
 end

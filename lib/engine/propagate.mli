@@ -15,8 +15,8 @@
       index, runs of narrow levels are fused into one sequential batch),
       bit-identical to the sequential one at every domain count,
     - dirty-cone incremental {!Make.update} via fanout marking, with
-      re-evaluation cost proportional to the cone, and
-    - per-level timing / gate-count instrumentation hooks. *)
+      re-evaluation cost proportional to the cone, refining the result
+      in place. *)
 
 type 'state result = {
   circuit : Spsta_netlist.Circuit.t;
@@ -27,12 +27,6 @@ type 'state result = {
     interchangeable (analyzers rebuild their domain per call, closing
     over per-call parameters, and feed an earlier [analyze] result to a
     later [update]). *)
-
-type level_stat = {
-  level : int;  (** logic level just evaluated *)
-  gates : int;  (** number of gates at that level *)
-  elapsed_s : float;  (** wall-clock seconds spent on the level *)
-}
 
 module type DOMAIN = sig
   type state
@@ -124,7 +118,6 @@ end
 module Make (D : DOMAIN) : sig
   val run :
     ?domains:int ->
-    ?instrument:(level_stat -> unit) ->
     Spsta_netlist.Circuit.t ->
     D.state result
   (** Full propagation: seed every source with {!DOMAIN.source}, then
@@ -140,19 +133,12 @@ module Make (D : DOMAIN) : sig
       index.  The cutoff, fusion and chunking affect scheduling only,
       never values: results are bit-identical to the sequential
       traversal at every domain count.  Raises [Invalid_argument] if
-      [domains < 1].
+      [domains < 1]. *)
 
-      [instrument] is called once per logic level, in ascending level
-      order, with the level's gate count and wall-clock time.  Supplying
-      it forces the levelized traversal even at [domains = 1] (results
-      are unchanged — any topological order yields the same states). *)
-
-  val update :
-    D.state result ->
-    changed:Spsta_netlist.Circuit.id list ->
-    D.state result
-  (** Incremental re-propagation after the sources in [changed] (or the
-      domain parameters affecting them) changed: marks the union of the
+  val update : D.state result -> changed:Spsta_netlist.Circuit.id list -> unit
+  (** In-place incremental re-propagation after the sources in
+      [changed] (or the domain parameters affecting them) changed:
+      marks the union of the
       combinational fanout cones of [changed], collecting the dirty
       gates as it goes, re-seeds the changed sources and re-evaluates
       exactly the dirty gates in the sequential evaluation order (sorted
@@ -163,9 +149,11 @@ module Make (D : DOMAIN) : sig
       source whose seed does not read the D arrival, so a dirty D net
       leaves the Q side untouched; callers whose seed itself changed (a
       source with new statistics, a Q net between sequential
-      iterations) list that net in [changed] directly.  States outside
-      the cones are physically shared with the input result, which is
-      not mutated.  Equivalent to a full {!run} with the updated domain
-      whenever the domain's [source]/[eval] differ from the original
-      run's only at the changed nets. *)
+      iterations) list that net in [changed] directly.  Only the slots
+      of the changed sources and the dirty gates are overwritten; every
+      other state stays physically the same.  A caller that needs the
+      result from before the update copies [per_net] first.  Afterwards
+      the result equals a full {!run} with the updated domain whenever
+      the domain's [source]/[eval] differ from the original run's only
+      at the changed nets. *)
 end

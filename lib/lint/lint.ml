@@ -82,24 +82,6 @@ let finding rule ?(nets = []) fmt =
 
 (* ---------- structure ---------- *)
 
-(* Nets from which a timing endpoint is reachable, walking fan-in edges
-   backwards from the endpoints.  Flip-flops need no special casing: a
-   D net is itself an endpoint, so liveness never has to cross the
-   register boundary. *)
-let alive_nets circuit =
-  let n = Circuit.num_nets circuit in
-  let alive = Array.make n false in
-  let rec mark id =
-    if not alive.(id) then begin
-      alive.(id) <- true;
-      match Circuit.driver circuit id with
-      | Circuit.Input | Circuit.Dff_output _ -> ()
-      | Circuit.Gate { inputs; _ } -> Array.iter mark inputs
-    end
-  in
-  List.iter mark (Circuit.endpoints circuit);
-  alive
-
 let check_structure circuit =
   let findings = ref [] in
   let add f = findings := f :: !findings in
@@ -114,7 +96,9 @@ let check_structure circuit =
          (Circuit.name circuit));
   let endpoint = Array.make (max n 1) false in
   List.iter (fun id -> endpoint.(id) <- true) (Circuit.endpoints circuit);
-  let alive = alive_nets circuit in
+  (* without constants, observability is exactly structural reachability
+     backwards from the endpoints: the dead-logic rule *)
+  let alive = Spsta_analysis.Observability.(observable (run circuit)) in
   for id = 0 to n - 1 do
     let fanout_empty = Array.length (Circuit.fanout circuit id) = 0 in
     (match Circuit.driver circuit id with
@@ -181,7 +165,7 @@ let check_structure circuit =
         add
           (finding "dangling-net" ~nets:[ name id ]
              "gate output %s drives nothing and is not an endpoint" (name id))
-      else if not alive.(id) then
+      else if not (alive id) then
         add
           (finding "dead-logic" ~nets:[ name id ]
              "no timing endpoint is reachable from gate %s; it cannot affect any \

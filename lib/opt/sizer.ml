@@ -126,11 +126,13 @@ let run ?(config = default_config) ?check ?initial ?prune sized circuit =
       { net; direction; from_size; to_size; objective_after = !phi; area_after = !area }
       :: !moves
   in
-  (* One trial: flip the gate to [size], re-analyse just its cone, undo. *)
+  (* One trial: flip the gate to [size], re-analyse just its cone on a
+     copy (the current result must survive a rejected trial), undo. *)
   let trial g ~size =
     let before = asg.(g) in
     let dirty = Transform.resize_gate sized circuit asg g ~size in
-    let r' = Ssta.update_rf ~delay_rf ?check !result ~changed:dirty in
+    let r' = Ssta.copy !result in
+    Ssta.update_rf ~delay_rf ?check r' ~changed:dirty;
     incr evaluations;
     let phi' = objective r' in
     let area_trial = Sized_library.gate_area sized circuit asg g in

@@ -11,9 +11,10 @@
     descending power-saving order (switched capacitance × transition
     density) and downsizes every gate the objective can spare.
 
-    Every candidate move — trial and commit alike — is evaluated with
-    {!Spsta_ssta.Ssta.update_rf} dirty-cone incremental re-analysis;
-    the only full propagation is the initial one.  The loop is free of
+    Every candidate move is evaluated with
+    {!Spsta_ssta.Ssta.update_rf} dirty-cone incremental re-analysis on
+    an {!Spsta_ssta.Ssta.copy} of the current result, which a committed
+    move adopts; the only full propagation is the initial one.  The loop is free of
     randomness and breaks all ties on net id, so a fixed (circuit,
     config) pair reproduces bit-identical reports. *)
 

@@ -4,17 +4,19 @@
    answers a stream of ECO mutations — resize a gate within its
    drive-strength family, retype a gate in place, replace a timing
    source's arrival statistics — each with a dirty-cone incremental
-   re-analysis ({!Spsta_ssta.Ssta.update_rf}).  The session owns a
-   *private copy* of the circuit: retype mutates driver records in
-   place, and the cache's circuit object is shared with concurrent batch
-   requests, so sessions must never alias it.
+   re-analysis ({!Spsta_ssta.Ssta.update_rf}) that refines the session's
+   result in place, so a mutation costs its cone and nothing more.  The
+   session owns a *private copy* of the circuit: retype mutates driver
+   records in place, and the cache's circuit object is shared with
+   concurrent batch requests, so sessions must never alias it.
 
    Concurrency contract: the worker pool serializes all requests of one
    session via its affinity key (see {!Pool}), so at most one request
-   touches a session record at a time and the per-session state needs no
-   lock of its own.  The registry table and the per-name inflight
-   counters are mutex-guarded because opens, closes, the idle sweep and
-   the [stats] gauge run on different domains.
+   touches a session record at a time and the per-session state — the
+   in-place result included — needs no lock of its own.  The registry
+   table and the per-name inflight counters are mutex-guarded because
+   opens, closes, the idle sweep and the [stats] gauge run on different
+   domains.
 
    Timing bookkeeping: the full sweep on open and every incremental
    update are wall-clocked, so [verify] can report the measured speedup
@@ -40,11 +42,11 @@ type t = {
   (* arrival overrides for timing sources; absent sources keep the
      paper's standard-normal input statistics *)
   arrivals : (Circuit.id, Ssta.arrival) Hashtbl.t;
-  mutable result : Ssta.result;
+  result : Ssta.result; (* refined in place by every mutation *)
   mutable mutations : int;
   mutable incremental : int; (* mutations that re-evaluated >= 1 gate *)
   mutable dirty_total : int; (* gates re-evaluated across those *)
-  mutable full_ms : float; (* the full sweep on open *)
+  full_ms : float; (* the full sweep on open *)
   mutable incr_ms_total : float;
   mutable last_active : float;
   created : float;
@@ -72,22 +74,12 @@ let arrival_of s id =
 
 let delay_rf s id = Sized.delay_rf s.sized s.circuit s.assignment id
 
-(* Sessions pin the record engine.  An ECO session's lifetime is one
-   full sweep on open followed by hundreds of tiny dirty-cone updates,
-   and the record engine's [update_rf] physically shares every state
-   outside the cone — per-mutation cost is the cone alone.  The flat
-   engine (the default elsewhere) is built for sweep-dominated
-   workloads: its update functionally copies the per-net slot arrays,
-   a fixed per-mutation tax that dwarfs a ten-gate cone.  Both engines
-   are bit-identical, so [verify]'s comparison against a from-scratch
-   default-engine sweep is unaffected. *)
-let full_analyze s =
+let timed_analyze ~delay_rf ~arrival_of circuit =
   let start = now () in
-  let result =
-    Ssta.analyze_rf ~engine:`Record ~delay_rf:(delay_rf s) ~input_arrival_of:(arrival_of s)
-      s.circuit
-  in
+  let result = Ssta.analyze_rf ~delay_rf ~input_arrival_of:arrival_of circuit in
   (result, (now () -. start) *. 1000.0)
+
+let full_analyze s = timed_analyze ~delay_rf:(delay_rf s) ~arrival_of:(arrival_of s) s.circuit
 
 (* ---------- payload helpers ---------- *)
 
@@ -172,20 +164,16 @@ let open_session reg cache (p : Protocol.session_open_params) =
       Spsta_netlist.Cell_library.default
   in
   let assignment = Sized.initial circuit in
-  let arrivals = Hashtbl.create 8 in
-  let delay id = Sized.delay_rf sized circuit assignment id in
-  let arrival_of id =
-    match Hashtbl.find_opt arrivals id with Some a -> a | None -> default_arrival
+  let created = now () in
+  (* no arrival overrides yet: every source launches at the default *)
+  let result, full_ms =
+    timed_analyze ~delay_rf:(Sized.delay_rf sized circuit assignment)
+      ~arrival_of:(fun _ -> default_arrival) circuit
   in
-  let t0 = now () in
-  (* record engine: updates follow the representation of their input
-     result — see [full_analyze] *)
-  let result = Ssta.analyze_rf ~engine:`Record ~delay_rf:delay ~input_arrival_of:arrival_of circuit in
-  let full_ms = (now () -. t0) *. 1000.0 in
   let s =
-    { key = p.Protocol.session; circuit; sized; assignment; arrivals; result;
+    { key = p.Protocol.session; circuit; sized; assignment; arrivals = Hashtbl.create 8; result;
       mutations = 0; incremental = 0; dirty_total = 0; full_ms; incr_ms_total = 0.0;
-      last_active = now (); created = t0 }
+      last_active = now (); created }
   in
   locked reg (fun () ->
       if Hashtbl.mem reg.table s.key then
@@ -245,13 +233,8 @@ let mutate reg session (m : Protocol.mutation) =
         delay_rf s id
       in
       let start = now () in
-      let result =
-        Ssta.update_rf ~delay_rf:counting_delay ~input_arrival_of:(arrival_of s) s.result
-          ~changed
-      in
-      let elapsed = (now () -. start) *. 1000.0 in
-      s.result <- result;
-      elapsed
+      Ssta.update_rf ~delay_rf:counting_delay ~input_arrival_of:(arrival_of s) s.result ~changed;
+      (now () -. start) *. 1000.0
   in
   s.mutations <- s.mutations + 1;
   if !cone > 0 then begin

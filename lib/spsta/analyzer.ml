@@ -253,11 +253,11 @@ module Make (B : Top.BACKEND) = struct
       | Circuit.Input | Circuit.Dff_output _ -> assert false
 
   let analyze ?gate_delay ?delay_sigma ?delay_of ?delay_rf ?mis ?max_enumerated_fanin ?check
-      ?domains ?instrument circuit ~spec =
+      ?domains circuit ~spec =
     let eval = gate_eval ?gate_delay ?delay_sigma ?delay_of ?delay_rf ?mis ?max_enumerated_fanin () in
     let module D = (val checked_domain ?check circuit (domain ~spec eval)) in
     let module E = Propagate.Make (D) in
-    E.run ?domains ?instrument circuit
+    E.run ?domains circuit
 
   let circuit (r : result) = r.Propagate.circuit
   let signal (r : result) id = r.Propagate.per_net.(id)
@@ -269,7 +269,10 @@ module Make (B : Top.BACKEND) = struct
       (val checked_domain ?check r.Propagate.circuit (domain ~spec eval))
     in
     let module E = Propagate.Make (D) in
-    E.update r ~changed
+    (* the engine refines in place; this API keeps its input intact *)
+    let r = { r with Propagate.per_net = Array.copy r.Propagate.per_net } in
+    E.update r ~changed;
+    r
 
   let direction_top s = function `Rise -> s.rise | `Fall -> s.fall
 
@@ -332,11 +335,11 @@ module Moments = struct
     { Moment_kernel.source; delay; delay_sigma; mis; max_enumerated_fanin; check }
 
   let analyze ?gate_delay ?delay_sigma ?delay_of ?delay_rf ?mis ?max_enumerated_fanin ?check
-      ?domains ?instrument circuit ~spec =
+      ?domains circuit ~spec =
     Moment_kernel.run
       (params ?gate_delay ?delay_sigma ?delay_of ?delay_rf ?mis ?max_enumerated_fanin ?check
          circuit ~spec)
-      ?domains ?instrument circuit
+      ?domains circuit
 
   let update ?gate_delay ?delay_sigma ?delay_of ?delay_rf ?mis ?max_enumerated_fanin ?check r
       ~changed ~spec =

@@ -585,10 +585,10 @@ let fresh circuit params ~prev =
       p_fall = FA.create n; rise; fall },
     tables )
 
-let run params ?domains ?instrument circuit =
+let run params ?domains circuit =
   let domains = match domains with Some d -> Parallel.check_domains d | None -> 1 in
   let st, tables = fresh circuit params ~prev:None in
-  S.run ~domains ~instrument (kernel st params tables);
+  S.run ~domains (kernel st params tables);
   st
 
 let update params prev ~changed =

@@ -39,10 +39,9 @@ type params = {
 val run :
   params ->
   ?domains:int ->
-  ?instrument:(Spsta_engine.Propagate.level_stat -> unit) ->
   Spsta_netlist.Circuit.t ->
   t
-(** Full sweep; [domains] and [instrument] as in
+(** Full sweep; [domains] as in
     {!Spsta_engine.Propagate.Make.run}.  Raises [Invalid_argument] if
     [domains < 1]. *)
 

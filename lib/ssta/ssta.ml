@@ -7,11 +7,11 @@ module Clark = Spsta_dist.Clark
 
 type arrival = { rise : Normal.t; fall : Normal.t }
 
-(* Two interchangeable engines compute the analysis: the flat
-   struct-of-arrays kernel (default — per-net moments in float arrays,
-   allocation-free sweeps) and the original record engine over
-   [Propagate.Make].  They are bit-identical by construction (the flat
-   folds replay the record operation order exactly; the test suite
+(* The flat struct-of-arrays kernel (per-net moments in float arrays,
+   allocation-free sweeps) computes the analysis; the original record
+   engine over [Propagate.Make] stays as the test oracle ([`Record] on
+   the [engine] selector).  They are bit-identical by construction (the
+   flat folds replay the record operation order exactly; the test suite
    asserts Int64-level equality across engines and domain counts), so
    the representation is free to follow whichever engine produced it and
    [arrival] records materialize only at this API boundary. *)
@@ -64,31 +64,13 @@ let arrival_check : arrival Propagate.Sanitize.check =
   first
     (check_normal ~what:"rise arrival" a.rise @ check_normal ~what:"fall arrival" a.fall)
 
-(* Under a constant mask, a masked gate's output never transitions —
-   its arrival is the source statistics of its own net rather than the
-   Clark fold of its fan-in, so a folded cone costs one lookup per gate
-   and contributes nothing downstream but its launch arrival. *)
-let domain ?mask ~source ~delay_rf_of () :
-    (module Propagate.DOMAIN with type state = arrival) =
+let domain ~source ~delay_rf_of : (module Propagate.DOMAIN with type state = arrival) =
   (module struct
     type state = arrival
 
     let source = source
-
-    let eval =
-      match mask with
-      | None -> gate_eval ~delay_rf_of
-      | Some m ->
-        fun circuit g driver operands ->
-          if Bytes.get m g <> '\000' then source g
-          else gate_eval ~delay_rf_of circuit g driver operands
+    let eval = gate_eval ~delay_rf_of
   end)
-
-let validate_mask circuit = function
-  | None -> ()
-  | Some m ->
-    if Bytes.length m <> Circuit.num_nets circuit then
-      invalid_arg "Ssta: constant_mask length differs from the circuit's net count"
 
 let checked_domain ?check circuit dom =
   if Propagate.Sanitize.resolve check then
@@ -97,17 +79,15 @@ let checked_domain ?check circuit dom =
 
 (* --- record engine ------------------------------------------------- *)
 
-let run_record ?mask ~delay_rf_of ~source ?check ?domains ?instrument circuit =
-  let module D = (val checked_domain ?check circuit (domain ?mask ~source ~delay_rf_of ())) in
+let run_record ~delay_rf_of ~source ?check ?domains circuit =
+  let module D = (val checked_domain ?check circuit (domain ~source ~delay_rf_of)) in
   let module E = Propagate.Make (D) in
-  Boxed (E.run ?domains ?instrument circuit)
+  Boxed (E.run ?domains circuit)
 
 let update_record ~delay_rf_of ~source ?check r ~changed =
-  let module D =
-    (val checked_domain ?check r.Propagate.circuit (domain ~source ~delay_rf_of ()))
-  in
+  let module D = (val checked_domain ?check r.Propagate.circuit (domain ~source ~delay_rf_of)) in
   let module E = Propagate.Make (D) in
-  Boxed (E.update r ~changed)
+  E.update r ~changed
 
 (* --- flat engine --------------------------------------------------- *)
 
@@ -154,71 +134,58 @@ let flat_delay_rf delay_rf g (b : Flat.rf_buf) =
   b.fall_mu <- fall;
   b.fall_sig <- 0.0
 
-let run_flat ~delay ~source ?check ?domains ?instrument circuit =
-  Flat_r
-    (Flat.Ssta.run ~source:(flat_source source) ~delay ?check:(flat_check check) ?domains
-       ?instrument circuit)
+let run_flat ~delay ~source ?check ?domains circuit =
+  Flat_r (Flat.Ssta.run ~source:(flat_source source) ~delay ?check:(flat_check check) ?domains circuit)
 
 (* --- entry points -------------------------------------------------- *)
 
-let analyze ?(gate_delay = 1.0) ?input_arrival ?input_arrival_of ?constant_mask ?check
-    ?domains ?instrument ?(engine = `Flat) circuit =
-  validate_mask circuit constant_mask;
-  let input_arrival = Option.value input_arrival ~default:default_input in
-  let source = source_of ~input_arrival ~input_arrival_of in
-  match (engine, constant_mask) with
-  | `Flat, None ->
-    run_flat ~delay:(flat_delay_uniform gate_delay) ~source ?check ?domains ?instrument circuit
-  | (`Record, _ | `Flat, Some _) ->
-    (* a mask changes the per-gate transfer, which only the record
-       engine's first-class domain can express — force it *)
-    let delay = Normal.make ~mu:gate_delay ~sigma:0.0 in
-    run_record ?mask:constant_mask
-      ~delay_rf_of:(fun _ -> (delay, delay))
-      ~source ?check ?domains ?instrument circuit
-
-let analyze_variational ~gate_delay ?input_arrival ?input_arrival_of ?check ?domains ?instrument
+let analyze ?(gate_delay = 1.0) ?input_arrival ?input_arrival_of ?check ?domains
     ?(engine = `Flat) circuit =
   let input_arrival = Option.value input_arrival ~default:default_input in
   let source = source_of ~input_arrival ~input_arrival_of in
   match engine with
-  | `Flat ->
-    run_flat ~delay:(flat_delay_variational gate_delay) ~source ?check ?domains ?instrument
-      circuit
+  | `Flat -> run_flat ~delay:(flat_delay_uniform gate_delay) ~source ?check ?domains circuit
+  | `Record ->
+    let delay = Normal.make ~mu:gate_delay ~sigma:0.0 in
+    run_record ~delay_rf_of:(fun _ -> (delay, delay)) ~source ?check ?domains circuit
+
+let analyze_variational ~gate_delay ?input_arrival ?input_arrival_of ?check ?domains
+    ?(engine = `Flat) circuit =
+  let input_arrival = Option.value input_arrival ~default:default_input in
+  let source = source_of ~input_arrival ~input_arrival_of in
+  match engine with
+  | `Flat -> run_flat ~delay:(flat_delay_variational gate_delay) ~source ?check ?domains circuit
   | `Record ->
     run_record
       ~delay_rf_of:(fun g ->
         let d = gate_delay g in
         (d, d))
-      ~source ?check ?domains ?instrument circuit
+      ~source ?check ?domains circuit
 
-let analyze_rf ~delay_rf ?input_arrival ?input_arrival_of ?constant_mask ?check ?domains
-    ?instrument ?(engine = `Flat) circuit =
-  validate_mask circuit constant_mask;
+let analyze_rf ~delay_rf ?input_arrival ?input_arrival_of ?check ?domains ?(engine = `Flat)
+    circuit =
   let input_arrival = Option.value input_arrival ~default:default_input in
   let source = source_of ~input_arrival ~input_arrival_of in
-  match (engine, constant_mask) with
-  | `Flat, None ->
-    run_flat ~delay:(flat_delay_rf delay_rf) ~source ?check ?domains ?instrument circuit
-  | (`Record, _ | `Flat, Some _) ->
+  match engine with
+  | `Flat -> run_flat ~delay:(flat_delay_rf delay_rf) ~source ?check ?domains circuit
+  | `Record ->
     let to_normal d = Normal.make ~mu:d ~sigma:0.0 in
-    run_record ?mask:constant_mask
+    run_record
       ~delay_rf_of:(fun g ->
         let rise, fall = delay_rf g in
         (to_normal rise, to_normal fall))
-      ~source ?check ?domains ?instrument circuit
+      ~source ?check ?domains circuit
 
-(* Updates follow the representation of the result they refine, so a
-   record-engine oracle stays on the record engine through a whole
-   incremental session and a flat result never pays boxing. *)
+(* Updates refine the result in place on whichever engine produced it,
+   so a record-engine oracle stays on the record engine through a whole
+   incremental run and a flat result never pays boxing. *)
 let update ?(gate_delay = 1.0) ?(input_arrival = default_input) ?input_arrival_of ?check r
     ~changed =
   let source = source_of ~input_arrival ~input_arrival_of in
   match r with
   | Flat_r st ->
-    Flat_r
-      (Flat.Ssta.update ~source:(flat_source source) ~delay:(flat_delay_uniform gate_delay)
-         ?check:(flat_check check) st ~changed)
+    Flat.Ssta.update ~source:(flat_source source) ~delay:(flat_delay_uniform gate_delay)
+      ?check:(flat_check check) st ~changed
   | Boxed br ->
     let delay = Normal.make ~mu:gate_delay ~sigma:0.0 in
     update_record ~delay_rf_of:(fun _ -> (delay, delay)) ~source ?check br ~changed
@@ -227,9 +194,8 @@ let update_rf ~delay_rf ?(input_arrival = default_input) ?input_arrival_of ?chec
   let source = source_of ~input_arrival ~input_arrival_of in
   match r with
   | Flat_r st ->
-    Flat_r
-      (Flat.Ssta.update ~source:(flat_source source) ~delay:(flat_delay_rf delay_rf)
-         ?check:(flat_check check) st ~changed)
+    Flat.Ssta.update ~source:(flat_source source) ~delay:(flat_delay_rf delay_rf)
+      ?check:(flat_check check) st ~changed
   | Boxed br ->
     let to_normal d = Normal.make ~mu:d ~sigma:0.0 in
     update_record
@@ -237,6 +203,10 @@ let update_rf ~delay_rf ?(input_arrival = default_input) ?input_arrival_of ?chec
         let rise, fall = delay_rf g in
         (to_normal rise, to_normal fall))
       ~source ?check br ~changed
+
+let copy = function
+  | Flat_r st -> Flat_r (Flat.Ssta.copy st)
+  | Boxed br -> Boxed { br with Propagate.per_net = Array.copy br.Propagate.per_net }
 
 (* --- accessors ----------------------------------------------------- *)
 

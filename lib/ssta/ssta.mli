@@ -9,8 +9,9 @@
     it is oblivious to input statistics — the property the paper
     criticises.
 
-    Traversal (sequential, levelized-parallel and incremental) comes
-    from {!Spsta_engine.Propagate}. *)
+    Sweeps and in-place incremental updates run on the flat kernel
+    {!Spsta_engine.Flat.Ssta}; the record engine over
+    {!Spsta_engine.Propagate} is kept only as the test oracle. *)
 
 type arrival = { rise : Spsta_dist.Normal.t; fall : Spsta_dist.Normal.t }
 
@@ -20,10 +21,8 @@ val analyze :
   ?gate_delay:float ->
   ?input_arrival:arrival ->
   ?input_arrival_of:(Spsta_netlist.Circuit.id -> arrival) ->
-  ?constant_mask:Bytes.t ->
   ?check:bool ->
   ?domains:int ->
-  ?instrument:(Spsta_engine.Propagate.level_stat -> unit) ->
   ?engine:[ `Flat | `Record ] ->
   Spsta_netlist.Circuit.t ->
   result
@@ -31,34 +30,21 @@ val analyze :
     paper's source statistics); [input_arrival_of] overrides it per
     source net.  [gate_delay] is deterministic and defaults to 1.0.
 
-    [constant_mask] (one byte per net, non-['\000'] = statically
-    constant — the shape {!Spsta_analysis.Constprop.mask} produces)
-    skips the Clark fold on masked gates: a constant net never
-    transitions, so its gate launches with its net's source arrival
-    statistics instead of folding its fan-in.  A mask forces the
-    [`Record] engine regardless of [engine] (the flat kernel's transfer
-    is fixed), and changes results only on masked cones.
-    {!update}/{!update_rf} do not take a mask; refine a masked result
-    only through mask-free nets.  Raises [Invalid_argument] when the
-    mask length differs from the circuit's net count.
-
-    [engine] selects the implementation: [`Flat] (default) runs the
-    allocation-free struct-of-arrays kernel ({!Spsta_engine.Flat.Ssta} —
-    per-net moments in flat float arrays, records materialized only at
-    this module's API), [`Record] the original boxed-record engine over
-    {!Spsta_engine.Propagate.Make}.  The two are bit-identical
-    (IEEE-exact, asserted in the test suite at every domain count); the
-    knob exists as a differential-testing oracle and a fallback.
-    {!update}/{!update_rf} stay on the engine that produced their input
-    result.
+    [engine] selects the test oracle and nothing else.  The default
+    [`Flat] is the one runtime engine: the allocation-free
+    struct-of-arrays kernel ({!Spsta_engine.Flat.Ssta} — per-net
+    moments in flat float arrays, records materialized only at this
+    module's API).  [`Record] is the boxed-record engine over
+    {!Spsta_engine.Propagate.Make} that differential tests and the
+    benchmark's output checks compare it against; the two are
+    bit-identical (IEEE-exact, asserted in the test suite at every
+    domain count).  {!update}/{!update_rf} stay on the engine that
+    produced their input result.
 
     [domains] (default 1) evaluates each logic level's gates across that
     many OCaml domains; results are bit-identical to the sequential
     traversal at every domain count.  Raises [Invalid_argument] if
     [domains < 1].
-
-    [instrument] receives per-level gate counts and wall-clock timings
-    (see {!Spsta_engine.Propagate.level_stat}).
 
     [check] (default: {!Spsta_engine.Propagate.Sanitize.enabled_by_env})
     verifies every propagated arrival pair stays finite with
@@ -73,7 +59,6 @@ val analyze_variational :
   ?input_arrival_of:(Spsta_netlist.Circuit.id -> arrival) ->
   ?check:bool ->
   ?domains:int ->
-  ?instrument:(Spsta_engine.Propagate.level_stat -> unit) ->
   ?engine:[ `Flat | `Record ] ->
   Spsta_netlist.Circuit.t ->
   result
@@ -84,16 +69,13 @@ val analyze_rf :
   delay_rf:(Spsta_netlist.Circuit.id -> float * float) ->
   ?input_arrival:arrival ->
   ?input_arrival_of:(Spsta_netlist.Circuit.id -> arrival) ->
-  ?constant_mask:Bytes.t ->
   ?check:bool ->
   ?domains:int ->
-  ?instrument:(Spsta_engine.Propagate.level_stat -> unit) ->
   ?engine:[ `Flat | `Record ] ->
   Spsta_netlist.Circuit.t ->
   result
 (** Deterministic but direction-dependent (rise, fall) delays per gate —
-    for cell-library timing ({!Spsta_netlist.Cell_library}).
-    [constant_mask] behaves as in {!analyze}. *)
+    for cell-library timing ({!Spsta_netlist.Cell_library}). *)
 
 val update :
   ?gate_delay:float ->
@@ -102,15 +84,16 @@ val update :
   ?check:bool ->
   result ->
   changed:Spsta_netlist.Circuit.id list ->
-  result
-(** Incremental re-analysis: recompute only the fanout cones of the
-    [changed] nets (e.g. sources whose arrival statistics changed),
-    under the same [gate_delay] as the original {!analyze} and the *new*
-    source arrivals.  Matches a full {!analyze} with the new arrivals
-    provided nothing outside the cones changed; arrivals outside the
-    cones are carried over bit-for-bit from the input result (the
-    record engine shares them physically, the flat engine copies the
-    slots).  The input [result] is not mutated. *)
+  unit
+(** Incremental re-analysis in place: recompute only the fanout cones
+    of the [changed] nets (e.g. sources whose arrival statistics
+    changed), under the same [gate_delay] as the original {!analyze}
+    and the *new* source arrivals, and overwrite those nets' arrivals
+    in [result].  Afterwards [result] matches a full {!analyze} with the
+    new arrivals provided nothing outside the cones changed; arrivals
+    outside the cones are not touched.  The work is the cone alone, with
+    no per-update copy of the per-net state.  A caller that must keep
+    the old result (a trial move it may reject) updates a {!copy}. *)
 
 val update_rf :
   delay_rf:(Spsta_netlist.Circuit.id -> float * float) ->
@@ -119,11 +102,16 @@ val update_rf :
   ?check:bool ->
   result ->
   changed:Spsta_netlist.Circuit.id list ->
-  result
+  unit
 (** {!update} under per-gate (rise, fall) delays — the incremental
     counterpart of {!analyze_rf}.  [delay_rf] is consulted for every
     dirty gate, so passing a resized gate's output net in [changed]
     re-evaluates it with its new cell ({!Spsta_netlist.Transform.resize_gate}). *)
+
+val copy : result -> result
+(** An independent result with the same arrivals, on the same engine:
+    updating either leaves the other unchanged.  Costs one copy of the
+    per-net state. *)
 
 val circuit_of : result -> Spsta_netlist.Circuit.t
 

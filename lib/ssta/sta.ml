@@ -4,9 +4,9 @@ module Flat = Spsta_engine.Flat
 
 type bounds = { earliest : float; latest : float }
 
-(* Same two-engine split as [Ssta]: the flat struct-of-arrays kernel by
-   default, the boxed-record engine as differential oracle — bit
-   identical, records materialized at this boundary only. *)
+(* Same split as [Ssta]: the flat struct-of-arrays kernel at runtime,
+   the boxed-record engine as the test oracle — bit identical, records
+   materialized at this boundary only. *)
 type result = Flat_r of Flat.Sta.state | Boxed of bounds Propagate.result
 
 let default_input = { earliest = 0.0; latest = 0.0 }
@@ -64,18 +64,18 @@ let flat_source source id (b : Flat.Sta.buf) =
   b.b_late <- s.latest
 
 let analyze ?(gate_delay = 1.0) ?gate_delay_of ?(input_bounds = default_input)
-    ?input_bounds_of ?check ?domains ?instrument ?(engine = `Flat) circuit =
+    ?input_bounds_of ?check ?domains ?(engine = `Flat) circuit =
   let source = source_of ~input_bounds ~input_bounds_of in
   let gate_delay_of = resolve_delay ~gate_delay ~gate_delay_of in
   match engine with
   | `Flat ->
     Flat_r
       (Flat.Sta.run ~source:(flat_source source) ~delay:gate_delay_of
-         ?check:(flat_check check) ?domains ?instrument circuit)
+         ?check:(flat_check check) ?domains circuit)
   | `Record ->
     let module D = (val checked_domain ?check circuit (domain ~source ~gate_delay_of)) in
     let module E = Propagate.Make (D) in
-    Boxed (E.run ?domains ?instrument circuit)
+    Boxed (E.run ?domains circuit)
 
 let update ?(gate_delay = 1.0) ?gate_delay_of ?(input_bounds = default_input)
     ?input_bounds_of ?check r ~changed =
@@ -83,15 +83,14 @@ let update ?(gate_delay = 1.0) ?gate_delay_of ?(input_bounds = default_input)
   let gate_delay_of = resolve_delay ~gate_delay ~gate_delay_of in
   match r with
   | Flat_r st ->
-    Flat_r
-      (Flat.Sta.update ~source:(flat_source source) ~delay:gate_delay_of
-         ?check:(flat_check check) st ~changed)
+    Flat.Sta.update ~source:(flat_source source) ~delay:gate_delay_of ?check:(flat_check check)
+      st ~changed
   | Boxed br ->
     let module D =
       (val checked_domain ?check br.Propagate.circuit (domain ~source ~gate_delay_of))
     in
     let module E = Propagate.Make (D) in
-    Boxed (E.update br ~changed)
+    E.update br ~changed
 
 let circuit_of = function
   | Flat_r st -> Flat.Sta.circuit st

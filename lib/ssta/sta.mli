@@ -2,8 +2,9 @@
     bounds under unit gate delays, input-vector oblivious.  This is the
     "two dotted lines" of the paper's Fig. 1.
 
-    Traversal (sequential, levelized-parallel and incremental) comes
-    from {!Spsta_engine.Propagate}. *)
+    Sweeps and in-place incremental updates run on the flat kernel
+    {!Spsta_engine.Flat.Sta}; the record engine over
+    {!Spsta_engine.Propagate} is kept only as the test oracle. *)
 
 type bounds = { earliest : float; latest : float }
 
@@ -16,7 +17,6 @@ val analyze :
   ?input_bounds_of:(Spsta_netlist.Circuit.id -> bounds) ->
   ?check:bool ->
   ?domains:int ->
-  ?instrument:(Spsta_engine.Propagate.level_stat -> unit) ->
   ?engine:[ `Flat | `Record ] ->
   Spsta_netlist.Circuit.t ->
   result
@@ -24,10 +24,11 @@ val analyze :
     net — e.g. sized-cell mean delays from
     {!Spsta_netlist.Sized_library}.
 
-    [engine] selects the implementation ([`Flat] default — the
-    struct-of-arrays kernel {!Spsta_engine.Flat.Sta}; [`Record] the
-    boxed engine); results are bit-identical, see {!Spsta_ssta.Ssta}.
-    {!update} stays on the engine that produced its input result.
+    [engine] selects the test oracle only: [`Flat] (default) is the
+    runtime engine, the struct-of-arrays kernel {!Spsta_engine.Flat.Sta};
+    [`Record] is the boxed engine tests compare it against.  Results
+    are bit-identical, see {!Spsta_ssta.Ssta}.  {!update} stays on the
+    engine that produced its input result.
 
     [input_bounds] defaults to {earliest = 0.; latest = 0.}; the paper's
     N(0,1) inputs are commonly bounded at +-3 sigma, i.e.
@@ -37,8 +38,7 @@ val analyze :
     [domains] (default 1) evaluates each logic level's gates across that
     many OCaml domains; results are bit-identical to the sequential
     traversal at every domain count.  Raises [Invalid_argument] if
-    [domains < 1].  [instrument] receives per-level gate counts and
-    wall-clock timings.
+    [domains < 1].
 
     [check] (default: {!Spsta_engine.Propagate.Sanitize.enabled_by_env})
     verifies every propagated window stays a finite, ordered interval,
@@ -53,12 +53,12 @@ val update :
   ?check:bool ->
   result ->
   changed:Spsta_netlist.Circuit.id list ->
-  result
-(** Incremental re-analysis: recompute only the fanout cones of the
-    [changed] nets under the new source windows; matches a full
-    {!analyze} provided nothing outside the cones changed.  Bounds
-    outside the cones are carried over bit-for-bit; the input [result]
-    is not mutated. *)
+  unit
+(** Incremental re-analysis in place: recompute only the fanout cones
+    of the [changed] nets under the new source windows and overwrite
+    their bounds in [result].  Afterwards [result] matches a full
+    {!analyze} provided nothing outside the cones changed; bounds
+    outside the cones are not touched. *)
 
 val bounds : result -> Spsta_netlist.Circuit.id -> bounds
 

@@ -48,7 +48,7 @@ let arrival_check : arrival Propagate.Sanitize.check =
   Spsta_lint.Invariant.first
     (canonical_check ~what:"rise arrival" a.rise @ canonical_check ~what:"fall arrival" a.fall)
 
-let analyze ?(input_sigma = 1.0) ?check ?domains ?instrument model placement circuit =
+let analyze ?(input_sigma = 1.0) ?check ?domains model placement circuit =
   let nparams = Param_model.num_params model in
   let source_arrival =
     let s = Canonical.make ~mean:0.0 ~sens:(Array.make nparams 0.0) ~rand:input_sigma in
@@ -82,7 +82,7 @@ let analyze ?(input_sigma = 1.0) ?check ?domains ?instrument model placement cir
     else dom
   in
   let module E = Propagate.Make ((val dom)) in
-  E.run ?domains ?instrument circuit
+  E.run ?domains circuit
 
 let arrival (r : result) id = r.Propagate.per_net.(id)
 

@@ -1,6 +1,5 @@
 (* lib/analysis: the dataflow fixpoint framework and its four passes,
-   plus the consumers that make the facts pay — the sizer's prune hook
-   and Ssta's constant mask.
+   plus the consumer that makes the facts pay — the sizer's prune hook.
 
    The randomised properties pin the passes to independent oracles:
    constant propagation against four-value logic simulation under fully
@@ -17,8 +16,6 @@ module Reconvergence = Spsta_analysis.Reconvergence
 module Observability = Spsta_analysis.Observability
 module Crit_bounds = Spsta_analysis.Crit_bounds
 module Static = Spsta_analysis.Static
-module Ssta = Spsta_ssta.Ssta
-module Normal = Spsta_dist.Normal
 module Sizer = Spsta_opt.Sizer
 module Sized_library = Spsta_netlist.Sized_library
 
@@ -194,11 +191,7 @@ let test_constprop_folding () =
   Alcotest.(check (option bool)) "AND folds through controlling 0" (Some false)
     (Constprop.const_of t (id circuit "g"));
   Alcotest.(check (option bool)) "po stays free" None (Constprop.const_of t (id circuit "po"));
-  Alcotest.(check int) "two discovered constants" 2 (Constprop.num_constants t);
-  let mask = Constprop.mask t in
-  Alcotest.(check int) "mask covers every net" (Circuit.num_nets circuit) (Bytes.length mask);
-  Alcotest.(check char) "constant net masked" '\001' (Bytes.get mask (id circuit "z"));
-  Alcotest.(check char) "free net unmasked" '\000' (Bytes.get mask (id circuit "po"))
+  Alcotest.(check int) "two discovered constants" 2 (Constprop.num_constants t)
 
 (* ---------- reconvergence ---------- *)
 
@@ -324,30 +317,6 @@ let test_sizer_prune () =
   let free = Sizer.run sized circuit in
   Alcotest.(check int) "no prune, no rejections" 0 free.Sizer.pruned
 
-(* ---------- Ssta constant mask ---------- *)
-
-let test_ssta_constant_mask () =
-  let circuit = diamond () in
-  (* deterministic launch so the Clark MAX at d is exact *)
-  let zero = Normal.make ~mu:0.0 ~sigma:0.0 in
-  let input_arrival = { Ssta.rise = zero; fall = zero } in
-  let mask = Bytes.make (Circuit.num_nets circuit) '\000' in
-  Bytes.set mask (id circuit "nb") '\001';
-  let r = Ssta.analyze ~input_arrival ~constant_mask:mask circuit in
-  let masked = (Ssta.arrival r (id circuit "nb")).Ssta.rise in
-  Alcotest.(check (float 1e-12)) "masked gate never transitions" 0.0 (Normal.mean masked);
-  let live = (Ssta.arrival r (id circuit "d")).Ssta.rise in
-  (* d still waits for the unmasked branch cb (arrival 1) plus its own delay *)
-  Alcotest.(check (float 1e-12)) "downstream sees the live branch" 2.0 (Normal.mean live);
-  let plain = Ssta.analyze ~input_arrival circuit in
-  Alcotest.(check (float 1e-12)) "unmasked branch arrives at 1" 1.0
-    (Normal.mean (Ssta.arrival plain (id circuit "nb")).Ssta.rise);
-  Alcotest.(check (float 1e-12)) "unmasked run agrees at d" 2.0
-    (Normal.mean (Ssta.arrival plain (id circuit "d")).Ssta.rise);
-  Alcotest.check_raises "length mismatch rejected"
-    (Invalid_argument "Ssta: constant_mask length differs from the circuit's net count")
-    (fun () -> ignore (Ssta.analyze ~constant_mask:(Bytes.create 1) circuit))
-
 (* ---------- orchestrator ---------- *)
 
 let test_static_orchestrator () =
@@ -379,7 +348,7 @@ let test_static_orchestrator () =
 let suite =
   [ Alcotest.test_case "dataflow: level pass reaches fixpoint" `Quick test_dataflow_level_pass;
     Alcotest.test_case "dataflow: arena lane discipline" `Quick test_arena_lanes;
-    Alcotest.test_case "constprop: structural folding and mask" `Quick test_constprop_folding;
+    Alcotest.test_case "constprop: structural folding" `Quick test_constprop_folding;
     QCheck_alcotest.to_alcotest constprop_matches_sim;
     QCheck_alcotest.to_alcotest interval_contains_exact;
     Alcotest.test_case "reconvergence: diamond region" `Quick test_reconv_diamond;
@@ -388,5 +357,4 @@ let suite =
       test_observability_constant_blocking;
     Alcotest.test_case "crit bounds: unit-delay chain" `Quick test_crit_bounds_unit_delay;
     Alcotest.test_case "sizer: prune hook" `Quick test_sizer_prune;
-    Alcotest.test_case "ssta: constant mask" `Quick test_ssta_constant_mask;
     Alcotest.test_case "static: orchestrator" `Quick test_static_orchestrator ]

@@ -1,12 +1,15 @@
 (* The flat struct-of-arrays kernel (Spsta_engine.Flat) against the
    boxed record engine: Int64-exact bit-identity across engines and
    domain counts on randomly generated circuits, dirty-cone update
-   equivalence, sanitizer parity against the float slots, and the
+   equivalence (single updates and chains of in-place ECO mutations),
+   sanitizer parity against the float slots, and the
    bench-history regression detector that guards the kernel's numbers. *)
 
 module Circuit = Spsta_netlist.Circuit
 module Generator = Spsta_netlist.Generator
 module Gate_kind = Spsta_logic.Gate_kind
+module Sized = Spsta_netlist.Sized_library
+module Transform = Spsta_netlist.Transform
 module Normal = Spsta_dist.Normal
 module Ssta = Spsta_ssta.Ssta
 module Sta = Spsta_ssta.Sta
@@ -142,16 +145,71 @@ let prop_update_rf_equivalent =
       let check engine =
         let base = Ssta.analyze_rf ~delay_rf ~input_arrival_of:old_arrival_of ~engine c in
         let full = Ssta.analyze_rf ~delay_rf ~input_arrival_of:new_arrival_of ~engine c in
-        let incr =
-          Ssta.update_rf ~delay_rf ~input_arrival_of:new_arrival_of base ~changed:[ changed ]
-        in
+        Ssta.update_rf ~delay_rf ~input_arrival_of:new_arrival_of base ~changed:[ changed ];
         assert_ssta_identical
           (Printf.sprintf "update_rf vs full (%s)"
              (match engine with `Flat -> "flat" | `Record -> "record"))
-          c full incr
+          c full base
       in
       check `Flat;
       check `Record;
+      true)
+
+(* The session workload: one flat result refined in place through a
+   chain of resize / retype / set-input mutations.  After every step the
+   in-place state must equal a from-scratch record-engine analysis of the
+   mutated circuit on every net, Int64-exact — a stale slot anywhere
+   would surface at the first step that reads it. *)
+let prop_update_chain_in_place =
+  QCheck.Test.make ~name:"in-place update_rf chain = record oracle after every step" ~count:30
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let c = random_circuit seed in
+      let rng = Rng.create ~seed:(seed + 31) in
+      let sized = Sized.default in
+      let asg = Sized.initial c in
+      let delay_rf id = Sized.delay_rf sized c asg id in
+      let overrides = Hashtbl.create 8 in
+      let input_arrival_of id =
+        match Hashtbl.find_opt overrides id with Some a -> a | None -> arrival_of seed id
+      in
+      let gates = Circuit.topo_gates c in
+      let sources = Array.of_list (Circuit.sources c) in
+      let result = Ssta.analyze_rf ~delay_rf ~input_arrival_of c in
+      let steps = 5 + Rng.int rng 16 in
+      for step = 1 to steps do
+        let changed =
+          match Rng.int rng 3 with
+          | 0 ->
+            let g = gates.(Rng.int rng (Array.length gates)) in
+            Transform.resize_gate sized c asg g ~size:(Rng.int rng (Sized.num_sizes sized))
+          | 1 ->
+            let g = gates.(Rng.int rng (Array.length gates)) in
+            (* same arity class: the retype is always legal *)
+            let kind =
+              match Circuit.driver c g with
+              | Circuit.Gate { kind; _ } -> (
+                match kind with
+                | Gate_kind.And -> Gate_kind.Nor
+                | Gate_kind.Nand -> Gate_kind.Xor
+                | Gate_kind.Or -> Gate_kind.Nand
+                | Gate_kind.Nor -> Gate_kind.And
+                | Gate_kind.Xor -> Gate_kind.Or
+                | Gate_kind.Xnor -> Gate_kind.Nand
+                | Gate_kind.Not -> Gate_kind.Buf
+                | Gate_kind.Buf -> Gate_kind.Not)
+              | Circuit.Input | Circuit.Dff_output _ -> assert false
+            in
+            Transform.retype_gate c g ~kind
+          | _ ->
+            let s = sources.(Rng.int rng (Array.length sources)) in
+            Hashtbl.replace overrides s (arrival_of (seed + (1000 * step)) s);
+            [ s ]
+        in
+        Ssta.update_rf ~delay_rf ~input_arrival_of result ~changed;
+        let oracle = Ssta.analyze_rf ~delay_rf ~input_arrival_of ~engine:`Record c in
+        assert_ssta_identical (Printf.sprintf "seed %d step %d" seed step) c oracle result
+      done;
       true)
 
 (* ---------- sanitizer parity on the float slots ---------- *)
@@ -308,6 +366,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_engines_bit_identical;
     QCheck_alcotest.to_alcotest prop_sta_bit_identical;
     QCheck_alcotest.to_alcotest prop_update_rf_equivalent;
+    QCheck_alcotest.to_alcotest prop_update_chain_in_place;
     Alcotest.test_case "flat = record on s344/s1238 at domains 1,2,4" `Quick
       test_engines_identical_suite;
     Alcotest.test_case "flat sanitizer locates a poisoned slot" `Quick

@@ -1,6 +1,7 @@
 (* Incremental re-analysis through the engine for the min/max analyzers:
-   Ssta.update and Sta.update must match a full re-analysis on the dirty
-   cone and share everything outside it. *)
+   Ssta.update and Sta.update refine their result in place, must match a
+   full re-analysis on the dirty cone and leave everything outside it
+   untouched; Ssta.copy isolates a trial update from the original. *)
 
 module Circuit = Spsta_netlist.Circuit
 module Normal = Spsta_dist.Normal
@@ -34,8 +35,8 @@ let test_ssta_update_matches_full () =
   let changed = List.hd (Circuit.primary_inputs c) in
   let arrival_of s = if s = changed then late_arrival else default_arrival in
   let full = Ssta.analyze ~input_arrival_of:arrival_of c in
-  let incremental = Ssta.update base ~input_arrival_of:arrival_of ~changed:[ changed ] in
-  ssta_equal c "source change" full incremental
+  Ssta.update base ~input_arrival_of:arrival_of ~changed:[ changed ];
+  ssta_equal c "source change" full base
 
 let test_ssta_update_multi_change () =
   let c = Spsta_experiments.Benchmarks.load "s298" in
@@ -44,19 +45,8 @@ let test_ssta_update_multi_change () =
   let changed = List.filteri (fun i _ -> i mod 3 = 0) sources in
   let arrival_of s = if List.mem s changed then late_arrival else default_arrival in
   let full = Ssta.analyze ~input_arrival_of:arrival_of c in
-  let incremental = Ssta.update base ~input_arrival_of:arrival_of ~changed in
-  ssta_equal c "multi change" full incremental
-
-let test_ssta_update_is_pure () =
-  let c = Spsta_experiments.Benchmarks.s27 () in
-  let base = Ssta.analyze c in
-  let g17 = Circuit.find_exn c "G17" in
-  let before = Normal.mean (Ssta.arrival base g17).Ssta.rise in
-  let changed = List.hd (Circuit.sources c) in
-  let arrival_of s = if s = changed then late_arrival else default_arrival in
-  let _ = Ssta.update base ~input_arrival_of:arrival_of ~changed:[ changed ] in
-  let after = Normal.mean (Ssta.arrival base g17).Ssta.rise in
-  close "original untouched" before after ~tol:0.0
+  Ssta.update base ~input_arrival_of:arrival_of ~changed;
+  ssta_equal c "multi change" full base
 
 let clean_gates c changed =
   let dirty = Hashtbl.create 64 in
@@ -69,11 +59,16 @@ let clean_gates c changed =
   mark changed;
   Array.to_list (Circuit.topo_gates c) |> List.filter (fun g -> not (Hashtbl.mem dirty g))
 
-(* Outside the dirty cone an update must carry the base values over
-   bit-for-bit (the flat engine copies slots; bitwise equality is the
-   portable contract), and the record engine moreover shares the state
-   records physically. *)
+(* Outside the dirty cone an in-place update must leave the values
+   bit-for-bit as they were (bitwise equality is the portable contract),
+   and the record engine moreover keeps the very same state records. *)
 let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let arrival_bits_equal a b =
+  bits_equal (Normal.mean a.Ssta.rise) (Normal.mean b.Ssta.rise)
+  && bits_equal (Normal.stddev a.Ssta.rise) (Normal.stddev b.Ssta.rise)
+  && bits_equal (Normal.mean a.Ssta.fall) (Normal.mean b.Ssta.fall)
+  && bits_equal (Normal.stddev a.Ssta.fall) (Normal.stddev b.Ssta.fall)
 
 let test_ssta_clean_cone_shared () =
   let c = Spsta_experiments.Benchmarks.load "s344" in
@@ -82,29 +77,52 @@ let test_ssta_clean_cone_shared () =
   let clean = clean_gates c changed in
   Alcotest.(check bool) "some clean gates exist" true (clean <> []);
   let base = Ssta.analyze c in
-  let incremental = Ssta.update base ~input_arrival_of:arrival_of ~changed:[ changed ] in
-  List.iter
-    (fun g ->
-      let a = Ssta.arrival base g and b = Ssta.arrival incremental g in
+  let before = List.map (Ssta.arrival base) clean in
+  Ssta.update base ~input_arrival_of:arrival_of ~changed:[ changed ];
+  List.iter2
+    (fun g a ->
       Alcotest.(check bool) "clean arrival bitwise unchanged" true
-        (bits_equal (Normal.mean a.Ssta.rise) (Normal.mean b.Ssta.rise)
-        && bits_equal (Normal.stddev a.Ssta.rise) (Normal.stddev b.Ssta.rise)
-        && bits_equal (Normal.mean a.Ssta.fall) (Normal.mean b.Ssta.fall)
-        && bits_equal (Normal.stddev a.Ssta.fall) (Normal.stddev b.Ssta.fall)))
-    clean;
+        (arrival_bits_equal a (Ssta.arrival base g)))
+    clean before;
   let base = Ssta.analyze ~engine:`Record c in
-  let incremental = Ssta.update base ~input_arrival_of:arrival_of ~changed:[ changed ] in
+  let before = List.map (Ssta.arrival base) clean in
+  Ssta.update base ~input_arrival_of:arrival_of ~changed:[ changed ];
+  List.iter2
+    (fun g a ->
+      Alcotest.(check bool) "clean arrival physically kept (record engine)" true
+        (a == Ssta.arrival base g))
+    clean before
+
+(* [copy] is what a trial move (the sizer's) pays for a result it may
+   reject: updating the copy must leave the original bitwise unchanged on
+   every net, on both engines, while the copy itself matches a full
+   re-analysis. *)
+let test_ssta_update_on_copy () =
+  let c = Spsta_experiments.Benchmarks.load "s344" in
+  let changed = List.hd (Circuit.sources c) in
+  let arrival_of s = if s = changed then late_arrival else default_arrival in
+  let full = Ssta.analyze ~input_arrival_of:arrival_of c in
   List.iter
-    (fun g ->
-      Alcotest.(check bool) "clean arrival physically shared (record engine)" true
-        (Ssta.arrival base g == Ssta.arrival incremental g))
-    clean
+    (fun engine ->
+      let base = Ssta.analyze ~engine c in
+      let before = Array.init (Circuit.num_nets c) (Ssta.arrival base) in
+      let trial = Ssta.copy base in
+      Ssta.update trial ~input_arrival_of:arrival_of ~changed:[ changed ];
+      Array.iteri
+        (fun i a ->
+          if not (arrival_bits_equal a (Ssta.arrival base i)) then
+            Alcotest.failf "original changed at %s" (Circuit.net_name c i))
+        before;
+      ssta_equal c "updated copy" full trial;
+      Alcotest.(check bool) "the copy did move" false
+        (arrival_bits_equal (Ssta.arrival base changed) (Ssta.arrival trial changed)))
+    [ `Flat; `Record ]
 
 let test_ssta_noop_update () =
   let c = Spsta_experiments.Benchmarks.s27 () in
   let base = Ssta.analyze c in
-  let incremental = Ssta.update base ~changed:[] in
-  ssta_equal c "noop" base incremental
+  Ssta.update base ~changed:[];
+  ssta_equal c "noop" (Ssta.analyze c) base
 
 (* Idempotence under mutation: resize a gate, update, resize it back,
    update again — the second update recomputes the same cone from the
@@ -118,13 +136,12 @@ let test_ssta_resize_roundtrip_bit_identical () =
   let asg = Sized.initial c in
   let delay_rf id = Sized.delay_rf sized c asg id in
   let base = Ssta.analyze_rf ~delay_rf c in
+  let back = Ssta.analyze_rf ~delay_rf c in
   let gates = Circuit.topo_gates c in
   (* a mid-level gate: non-trivial cone both above and below *)
   let g = gates.(Array.length gates / 2) in
-  let up = Ssta.update_rf ~delay_rf base ~changed:(Transform.resize_gate sized c asg g ~size:3) in
-  let back =
-    Ssta.update_rf ~delay_rf up ~changed:(Transform.resize_gate sized c asg g ~size:0)
-  in
+  Ssta.update_rf ~delay_rf back ~changed:(Transform.resize_gate sized c asg g ~size:3);
+  Ssta.update_rf ~delay_rf back ~changed:(Transform.resize_gate sized c asg g ~size:0);
   Alcotest.(check int) "assignment restored" 0 (Sized.size_of asg g);
   for i = 0 to Circuit.num_nets c - 1 do
     let a = Ssta.arrival base i and b = Ssta.arrival back i in
@@ -154,8 +171,8 @@ let test_sta_update_matches_full () =
   let changed = List.hd (Circuit.primary_inputs c) in
   let bounds_of s = if s = changed then wide_window else default_window in
   let full = Sta.analyze ~input_bounds_of:bounds_of c in
-  let incremental = Sta.update base ~input_bounds_of:bounds_of ~changed:[ changed ] in
-  sta_equal c "source change" full incremental
+  Sta.update base ~input_bounds_of:bounds_of ~changed:[ changed ];
+  sta_equal c "source change" full base
 
 let test_sta_clean_cone_shared () =
   let c = Spsta_experiments.Benchmarks.load "s344" in
@@ -164,32 +181,35 @@ let test_sta_clean_cone_shared () =
   let clean = clean_gates c changed in
   Alcotest.(check bool) "some clean gates exist" true (clean <> []);
   let base = Sta.analyze c in
-  let incremental = Sta.update base ~input_bounds_of:bounds_of ~changed:[ changed ] in
-  List.iter
-    (fun g ->
-      let a = Sta.bounds base g and b = Sta.bounds incremental g in
+  let before = List.map (Sta.bounds base) clean in
+  Sta.update base ~input_bounds_of:bounds_of ~changed:[ changed ];
+  List.iter2
+    (fun g a ->
+      let b = Sta.bounds base g in
       Alcotest.(check bool) "clean bounds bitwise unchanged" true
         (bits_equal a.Sta.earliest b.Sta.earliest && bits_equal a.Sta.latest b.Sta.latest))
-    clean;
+    clean before;
   let base = Sta.analyze ~engine:`Record c in
-  let incremental = Sta.update base ~input_bounds_of:bounds_of ~changed:[ changed ] in
-  List.iter
-    (fun g ->
-      Alcotest.(check bool) "clean bounds physically shared (record engine)" true
-        (Sta.bounds base g == Sta.bounds incremental g))
-    clean
+  let before = List.map (Sta.bounds base) clean in
+  Sta.update base ~input_bounds_of:bounds_of ~changed:[ changed ];
+  List.iter2
+    (fun g a ->
+      Alcotest.(check bool) "clean bounds physically kept (record engine)" true
+        (a == Sta.bounds base g))
+    clean before
 
 let test_sta_noop_update () =
   let c = Spsta_experiments.Benchmarks.s27 () in
   let base = Sta.analyze c in
-  let incremental = Sta.update base ~changed:[] in
-  sta_equal c "noop" base incremental
+  Sta.update base ~changed:[];
+  sta_equal c "noop" (Sta.analyze c) base
 
 let suite =
   [
     Alcotest.test_case "SSTA source change" `Quick test_ssta_update_matches_full;
     Alcotest.test_case "SSTA multiple changes" `Quick test_ssta_update_multi_change;
-    Alcotest.test_case "SSTA update is pure" `Quick test_ssta_update_is_pure;
+    Alcotest.test_case "SSTA update on a copy keeps the original" `Quick
+      test_ssta_update_on_copy;
     Alcotest.test_case "SSTA clean cone shared" `Quick test_ssta_clean_cone_shared;
     Alcotest.test_case "SSTA no-op update" `Quick test_ssta_noop_update;
     Alcotest.test_case "SSTA resize round-trip bit-identical" `Quick

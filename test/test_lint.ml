@@ -1,7 +1,9 @@
 (* Static checker: one test per rule in the catalogue, on hand-built
    defective circuits (or netlist files for the defects the Builder
    refuses to finalize), plus reporting/exit-code conventions and a
-   clean-circuit pass over the bundled benchmark suite. *)
+   clean-circuit pass over the bundled benchmark suite.  The dead-logic
+   rule reads constant-free observability; the recursive fan-in walk it
+   replaced is kept here as its oracle. *)
 
 module Lint = Spsta_lint.Lint
 module Circuit = Spsta_netlist.Circuit
@@ -9,6 +11,7 @@ module Cell_library = Spsta_netlist.Cell_library
 module Gate_kind = Spsta_logic.Gate_kind
 module Input_spec = Spsta_sim.Input_spec
 module Normal = Spsta_dist.Normal
+module Rng = Spsta_util.Rng
 
 let rules_of findings = List.map (fun f -> f.Lint.rule) findings
 
@@ -86,6 +89,110 @@ let test_dead_logic () =
   check_rule "gate feeding only dangling logic" "dead-logic" findings;
   Alcotest.(check (list string)) "names dead" [ "dead" ]
     (find_rule "dead-logic" findings).Lint.nets
+
+(* The original dead-logic walk: nets from which a timing endpoint is
+   reachable, marking fan-in edges backwards from the endpoints. *)
+let alive_oracle circuit =
+  let alive = Array.make (Circuit.num_nets circuit) false in
+  let rec mark id =
+    if not alive.(id) then begin
+      alive.(id) <- true;
+      match Circuit.driver circuit id with
+      | Circuit.Input | Circuit.Dff_output _ -> ()
+      | Circuit.Gate { inputs; _ } -> Array.iter mark inputs
+    end
+  in
+  List.iter mark (Circuit.endpoints circuit);
+  alive
+
+(* dead-logic nets as the rule defines them on top of the walk: gates no
+   endpoint sees, except dangling ones (those are [dangling-net]) *)
+let expected_dead circuit =
+  let alive = alive_oracle circuit in
+  let endpoints = Circuit.endpoints circuit in
+  List.init (Circuit.num_nets circuit) Fun.id
+  |> List.filter (fun id ->
+         match Circuit.driver circuit id with
+         | Circuit.Gate _ ->
+           let dangling =
+             Array.length (Circuit.fanout circuit id) = 0 && not (List.mem id endpoints)
+           in
+           (not alive.(id)) && not dangling
+         | Circuit.Input | Circuit.Dff_output _ -> false)
+  |> List.map (Circuit.net_name circuit)
+
+let reported_dead circuit =
+  List.concat_map
+    (fun f -> if f.Lint.rule = "dead-logic" then f.Lint.nets else [])
+    (Lint.check_structure circuit)
+
+let check_dead_matches_oracle what circuit =
+  Alcotest.(check (list string))
+    (what ^ ": dead-logic findings = fan-in walk")
+    (expected_dead circuit) (reported_dead circuit)
+
+(* Random netlists with plenty of dead logic: gates read earlier nets at
+   random, only a few become outputs, and flip-flops capture arbitrary
+   gates — so dead cones, dangling tips and register-fed logic all
+   occur. *)
+let random_netlist seed =
+  let rng = Rng.create ~seed in
+  let b = Circuit.Builder.create ~name:(Printf.sprintf "lintq%d" seed) () in
+  let nets = ref [||] in
+  let add name = nets := Array.append !nets [| name |] in
+  for i = 0 to 1 + Rng.int rng 5 do
+    let name = Printf.sprintf "i%d" i in
+    Circuit.Builder.add_input b name;
+    add name
+  done;
+  let n_dffs = Rng.int rng 4 in
+  for k = 0 to n_dffs - 1 do
+    add (Printf.sprintf "q%d" k)
+  done;
+  let n_gates = 5 + Rng.int rng 60 in
+  let kinds =
+    Gate_kind.[| And; Nand; Or; Nor; Xor; Not; Buf |]
+  in
+  for g = 0 to n_gates - 1 do
+    let kind = kinds.(Rng.int rng (Array.length kinds)) in
+    let arity =
+      match Gate_kind.max_arity kind with
+      | Some m -> m
+      | None -> Gate_kind.min_arity kind + Rng.int rng 2
+    in
+    let inputs = List.init arity (fun _ -> !nets.(Rng.int rng (Array.length !nets))) in
+    let name = Printf.sprintf "g%d" g in
+    Circuit.Builder.add_gate b ~output:name kind inputs;
+    add name
+  done;
+  let gate_name () = Printf.sprintf "g%d" (Rng.int rng n_gates) in
+  for k = 0 to n_dffs - 1 do
+    Circuit.Builder.add_dff b ~q:(Printf.sprintf "q%d" k) ~d:(gate_name ())
+  done;
+  List.iter (Circuit.Builder.add_output b)
+    (List.sort_uniq compare (List.init (1 + Rng.int rng 3) (fun _ -> gate_name ())));
+  Circuit.Builder.finalize b
+
+let test_dead_logic_oracle_suite () =
+  List.iter
+    (fun name -> check_dead_matches_oracle name (Spsta_experiments.Benchmarks.load name))
+    ("c17" :: "s27" :: Spsta_experiments.Benchmarks.evaluated_names);
+  (* the random generator below must actually produce dead logic *)
+  let with_dead =
+    List.init 50 Fun.id
+    |> List.filter (fun seed -> expected_dead (random_netlist seed) <> [])
+    |> List.length
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "random netlists carry dead logic (%d/50)" with_dead)
+    true (with_dead >= 10)
+
+let prop_dead_logic_oracle =
+  QCheck.Test.make ~name:"dead-logic oracle: random netlists" ~count:200
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      check_dead_matches_oracle (Printf.sprintf "seed %d" seed) (random_netlist seed);
+      true)
 
 let test_unused_input () =
   let findings = Lint.check_structure (build_defective ()) in
@@ -364,6 +471,9 @@ let suite =
     Alcotest.test_case "duplicate-fanin" `Quick test_duplicate_fanin;
     Alcotest.test_case "dangling-net" `Quick test_dangling_net;
     Alcotest.test_case "dead-logic" `Quick test_dead_logic;
+    Alcotest.test_case "dead-logic oracle: bundled suite" `Quick
+      test_dead_logic_oracle_suite;
+    QCheck_alcotest.to_alcotest prop_dead_logic_oracle;
     Alcotest.test_case "unused-input" `Quick test_unused_input;
     Alcotest.test_case "high-fanin" `Quick test_high_fanin;
     Alcotest.test_case "no-endpoints" `Quick test_no_endpoints;

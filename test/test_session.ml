@@ -241,6 +241,60 @@ let test_stream_bit_identity () =
     endpoints;
   ignore (Session.close reg "eco")
 
+(* The session refines one flat result in place; its oracle is the
+   record engine run from scratch on the session's own mutated circuit,
+   assignment and arrival overrides — compared bit for bit on every net,
+   not only the endpoints [query] reports. *)
+let test_session_record_oracle () =
+  let metrics = Metrics.create () in
+  let reg = Session.create_registry metrics in
+  let cache = Cache.create () in
+  ignore (Session.open_session reg cache (open_params "oracle" "s1196"));
+  let s = Session.find_session reg "oracle" in
+  let circuit = s.Session.circuit in
+  let gates = Circuit.topo_gates circuit in
+  let sources = Array.of_list (Circuit.sources circuit) in
+  let rng = Rng.create ~seed:7 in
+  for _ = 1 to 150 do
+    let mutation =
+      match Rng.int rng 4 with
+      | 0 ->
+        let id = sources.(Rng.int rng (Array.length sources)) in
+        Protocol.Set_input
+          { net = Circuit.net_name circuit id; mu_rise = Rng.gaussian rng ~mu:0.0 ~sigma:1.0;
+            sigma_rise = 0.2 +. Rng.float rng; mu_fall = Rng.gaussian rng ~mu:0.0 ~sigma:1.0;
+            sigma_fall = 0.2 +. Rng.float rng }
+      | 1 ->
+        let g = gates.(Rng.int rng (Array.length gates)) in
+        let gate =
+          match Circuit.driver circuit g with
+          | Circuit.Gate { kind; _ } -> flip_kind kind
+          | Circuit.Input | Circuit.Dff_output _ -> assert false
+        in
+        Protocol.Retype { net = Circuit.net_name circuit g; gate }
+      | _ ->
+        let g = gates.(Rng.int rng (Array.length gates)) in
+        Protocol.Resize { net = Circuit.net_name circuit g; size = Rng.int rng 4 }
+    in
+    ignore (Session.mutate reg "oracle" mutation)
+  done;
+  let oracle =
+    Ssta.analyze_rf ~engine:`Record ~delay_rf:(Session.delay_rf s)
+      ~input_arrival_of:(Session.arrival_of s) circuit
+  in
+  let bits = Int64.bits_of_float in
+  for id = 0 to Circuit.num_nets circuit - 1 do
+    let a = Ssta.arrival oracle id and b = Ssta.arrival s.Session.result id in
+    List.iter
+      (fun (what, x, y) ->
+        Alcotest.(check int64) (Circuit.net_name circuit id ^ " " ^ what) (bits x) (bits y))
+      [ ("mu_rise", Normal.mean a.Ssta.rise, Normal.mean b.Ssta.rise);
+        ("sigma_rise", Normal.stddev a.Ssta.rise, Normal.stddev b.Ssta.rise);
+        ("mu_fall", Normal.mean a.Ssta.fall, Normal.mean b.Ssta.fall);
+        ("sigma_fall", Normal.stddev a.Ssta.fall, Normal.stddev b.Ssta.fall) ]
+  done;
+  ignore (Session.close reg "oracle")
+
 (* ---------- pool: affinity ordering and non-blocking admission ---------- *)
 
 let test_pool_affinity_order () =
@@ -509,6 +563,8 @@ let suite =
     Alcotest.test_case "idle eviction" `Quick test_idle_eviction;
     Alcotest.test_case "streamed mutations = from-scratch analysis" `Quick
       test_stream_bit_identity;
+    Alcotest.test_case "session state = record-engine oracle" `Quick
+      test_session_record_oracle;
     Alcotest.test_case "pool affinity ordering" `Quick test_pool_affinity_order;
     Alcotest.test_case "pool try_submit rejects when full" `Quick test_pool_try_submit_rejects;
     Alcotest.test_case "pool bounds affinity chains" `Quick test_pool_affinity_chain_bound;
