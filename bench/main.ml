@@ -949,6 +949,14 @@ let scale_smoke () =
   let module Static = Spsta_analysis.Static in
   let t_static, s1, _ = wall_best (fun () -> Static.run circuit) in
   check "static passes under 1 s" (t_static < 1.0) (Printf.sprintf "%.3fs" t_static);
+  (* the signoff order: lint runs its own reconvergence pass, then the
+     static stack runs it again, so this pair guards the region walk *)
+  let t_layer, _, _ =
+    wall_best (fun () ->
+        ignore (Spsta_lint.Lint.check_circuit circuit);
+        Static.run circuit)
+  in
+  check "lint + static under 1 s" (t_layer < 1.0) (Printf.sprintf "%.3fs" t_layer);
   let s2 = Static.run circuit in
   let regions t =
     match t.Static.reconvergence with

@@ -84,6 +84,14 @@ let boundary st circuit =
   List.iter (fun s -> st.ipdom.(s) <- compute_ipdom st s) (Circuit.sources circuit);
   false
 
+let popcount m =
+  let c = ref 0 and m = ref m in
+  while !m <> 0 do
+    m := !m land (!m - 1);
+    incr c
+  done;
+  !c
+
 let run ?arena ?(region_gate_cap = 64) circuit =
   if region_gate_cap < 0 then invalid_arg "Reconvergence.run: region_gate_cap < 0";
   let arena = match arena with Some a -> a | None -> Dataflow.Arena.create circuit in
@@ -125,114 +133,132 @@ let run ?arena ?(region_gate_cap = 64) circuit =
      happens — so regions come from the walk while the ipdom chain
      keeps providing the supergate grouping ({!merge_of}). *)
   let stem_mark = Bytes.make n '\000' in
-  let taint_seed = Bytes.make n '\000' in
+  (* the lane may hold an earlier run's taint on this arena *)
+  let taint = Dataflow.Arena.bytes arena "taint" ~init:'\000' in
+  Bytes.fill taint 0 n '\000';
   let stamp = Array.make n (-1) in
   let mask = Array.make n 0 in
-  let visited = Array.make (region_gate_cap + 1) 0 in
-  let idx = ref 0 in
   let max_branches = 62 (* one OCaml int of branch bits *) in
-  let comb_succs v =
-    (* distinct combinational consumer output nets, ascending id *)
-    Array.fold_left
-      (fun acc s ->
-        match Circuit.driver circuit s with
-        | Circuit.Dff_output _ -> acc
-        | _ -> if List.mem s acc then acc else s :: acc)
-      [] (Circuit.fanout circuit v)
-    |> List.sort compare
-  in
-  let by_level a b =
-    match compare (Circuit.level circuit a) (Circuit.level circuit b) with
-    | 0 -> compare a b
-    | c -> c
-  in
+  let branch = Array.make max_branches 0 in
+  (* visited nets as packed (level, id) keys, so int order is the
+     (level, id) order of the merge tie-break; nets and levels < 2^31 *)
+  let walk = Array.make region_gate_cap 0 in
+  let id_bits = 31 in
+  let id_mask = (1 lsl id_bits) - 1 in
+  let regions = ref [] in
+  (* fanouts hold gate outputs (level >= 1) and flip-flop outputs
+     (level 0); the register boundary cuts the latter *)
   let region_of v =
-    match comb_succs v with
-    | [] | [ _ ] -> None
-    | branches ->
-      let i = !idx in
-      incr idx;
-      let count = ref 0 and overflow = ref false in
-      let visit s bit =
-        if stamp.(s) <> i then
-          if !count >= region_gate_cap then overflow := true
-          else (
-            stamp.(s) <- i;
-            mask.(s) <- bit;
-            visited.(!count) <- s;
-            incr count)
-      in
-      List.iteri (fun j s -> if j < max_branches then visit s (1 lsl j)) branches;
-      (* phase 1: collect the forward cone up to the cap *)
-      let head = ref 0 in
-      while !head < !count do
-        let u = visited.(!head) in
-        incr head;
-        Array.iter
-          (fun s ->
-            match Circuit.driver circuit s with
-            | Circuit.Dff_output _ -> ()
-            | _ -> visit s 0)
-          (Circuit.fanout circuit u)
+    let fo = Circuit.fanout circuit v in
+    if Array.length fo >= 2 then begin
+      (* distinct consumers, deduped through [stamp] under a negative tag
+         no walk uses (walk [v] stamps [v]); the [max_branches] smallest
+         ids are kept ascending in [branch] and carry the branch bits *)
+      let tag = -2 - v in
+      let nb = ref 0 in
+      for j = 0 to Array.length fo - 1 do
+        let s = fo.(j) in
+        if stamp.(s) <> tag && Circuit.level circuit s > 0 then begin
+          stamp.(s) <- tag;
+          if !nb < max_branches || s < branch.(max_branches - 1) then begin
+            let p = ref (min !nb (max_branches - 1)) in
+            while !p > 0 && branch.(!p - 1) > s do
+              branch.(!p) <- branch.(!p - 1);
+              decr p
+            done;
+            branch.(!p) <- s;
+            if !nb < max_branches then incr nb
+          end
+        end
       done;
-      (* phase 2: propagate branch masks in level order — every visited
-         predecessor of a net has a strictly lower level, so each net's
-         mask is final when it is expanded *)
-      let order = Array.sub visited 0 !count in
-      Array.sort by_level order;
-      Array.iter
-        (fun u ->
-          Array.iter
-            (fun s ->
-              match Circuit.driver circuit s with
-              | Circuit.Dff_output _ -> ()
-              | _ -> if stamp.(s) = i then mask.(s) <- mask.(s) lor mask.(u))
-            (Circuit.fanout circuit u))
-        order;
-      let popcount m =
-        let c = ref 0 and m = ref m in
-        while !m <> 0 do
-          m := !m land (!m - 1);
-          incr c
+      if !nb >= 2 then begin
+        (* phase 1: BFS over the forward cone up to the cap; once the cap
+           overflows nothing further can be visited, so stop *)
+        let count = ref (min !nb region_gate_cap) in
+        let overflow = ref (!nb > region_gate_cap) in
+        for j = 0 to !count - 1 do
+          let s = branch.(j) in
+          stamp.(s) <- v;
+          mask.(s) <- 1 lsl j;
+          walk.(j) <- (Circuit.level circuit s lsl id_bits) lor s
         done;
-        !c
-      in
-      let merge =
-        Array.fold_left
-          (fun acc u -> if acc = -1 && popcount mask.(u) >= 2 then u else acc)
-          (-1) order
-      in
-      if merge = -1 then None
-      else (
-        Bytes.set stem_mark v '\001';
-        Array.iter (fun u -> if popcount mask.(u) >= 2 then Bytes.set taint_seed u '\001') order;
-        let lm = Circuit.level circuit merge in
-        let gates =
-          if !overflow then None
-          else
-            Some
-              (Array.fold_left
-                 (fun acc u -> if Circuit.level circuit u < lm then acc + 1 else acc)
-                 0 order)
-        in
-        Some
-          {
-            stem = v;
-            merge;
-            width = popcount mask.(merge);
-            depth = lm - Circuit.level circuit v;
-            gates;
-          })
+        let head = ref 0 in
+        while !head < !count && not !overflow do
+          let fo = Circuit.fanout circuit (walk.(!head) land id_mask) in
+          incr head;
+          for j = 0 to Array.length fo - 1 do
+            let s = fo.(j) in
+            if stamp.(s) <> v && Circuit.level circuit s > 0 then
+              if !count >= region_gate_cap then overflow := true
+              else begin
+                stamp.(s) <- v;
+                mask.(s) <- 0;
+                walk.(!count) <- (Circuit.level circuit s lsl id_bits) lor s;
+                incr count
+              end
+          done
+        done;
+        (* insertion sort: BFS order is already close to level order *)
+        for q = 1 to !count - 1 do
+          let key = walk.(q) in
+          let p = ref q in
+          while !p > 0 && walk.(!p - 1) > key do
+            walk.(!p) <- walk.(!p - 1);
+            decr p
+          done;
+          walk.(!p) <- key
+        done;
+        (* phase 2: propagate branch masks in level order — every visited
+           predecessor of a net has a strictly lower level, so each net's
+           mask is final when it is reached; the first net with two or
+           more bits is the merge, and every such net seeds the taint *)
+        let merge = ref (-1) in
+        for q = 0 to !count - 1 do
+          let u = walk.(q) land id_mask in
+          let m = mask.(u) in
+          if m land (m - 1) <> 0 then begin
+            if !merge < 0 then merge := u;
+            Bytes.set taint u '\001'
+          end;
+          let fo = Circuit.fanout circuit u in
+          for j = 0 to Array.length fo - 1 do
+            let s = fo.(j) in
+            if stamp.(s) = v then mask.(s) <- mask.(s) lor m
+          done
+        done;
+        if !merge >= 0 then begin
+          Bytes.set stem_mark v '\001';
+          let lm = Circuit.level circuit !merge in
+          let gates =
+            if !overflow then None
+            else begin
+              (* the nets below the merge level are a prefix of [walk] *)
+              let g = ref 0 in
+              while walk.(!g) lsr id_bits < lm do
+                incr g
+              done;
+              Some !g
+            end
+          in
+          regions :=
+            {
+              stem = v;
+              merge = !merge;
+              width = popcount mask.(!merge);
+              depth = lm - Circuit.level circuit v;
+              gates;
+            }
+            :: !regions
+        end
+      end
+    end
   in
-  let regions =
-    List.filter_map region_of (Circuit.sources circuit)
-    @ List.filter_map region_of (Array.to_list (Circuit.topo_gates circuit))
-  in
+  List.iter region_of (Circuit.sources circuit);
+  Array.iter region_of (Circuit.topo_gates circuit);
+  let regions = List.rev !regions in
   (* taint: forward closure of every remerge net within the
      combinational frame — the nets where eq. 5 independence is
      unsound (under-approximate past the per-region walk cap) *)
-  let taint = Dataflow.Arena.bytes arena "taint" ~init:'\000' in
-  Bytes.blit taint_seed 0 taint 0 n;
   let csr = Circuit.csr circuit in
   let num_tainted = ref 0 in
   Array.iteri

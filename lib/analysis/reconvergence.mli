@@ -42,8 +42,10 @@ type t
 
 val run : ?arena:Dataflow.Arena.t -> ?region_gate_cap:int -> Spsta_netlist.Circuit.t -> t
 (** [region_gate_cap] (default 64) bounds the per-stem forward walk
-    (and the first 62 branches of a stem carry tracking bits).
-    Uses lanes ["pdom"] and ["taint"]. *)
+    (and the first 62 branches of a stem carry tracking bits); it is
+    kept for the oracle test's small-cap coverage, and every library
+    caller uses the default.  The walk is linear in the nets and edges
+    it touches.  Uses lanes ["pdom"] and ["taint"]. *)
 
 val regions : t -> region list
 (** In topological order of the stem. *)

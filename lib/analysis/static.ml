@@ -26,15 +26,14 @@ type t = {
   criticality : Crit_bounds.t option;
 }
 
-let run ?(passes = all_passes) ?p_source ?delay_bounds ?region_gate_cap circuit =
+let run ?(passes = all_passes) ?p_source ?delay_bounds circuit =
   let want p = List.mem p passes in
   let arena = Dataflow.Arena.create circuit in
   let constants =
     if want `Constants then Some (Constprop.run ~arena ?p_source circuit) else None
   in
   let reconvergence =
-    if want `Reconvergence then Some (Reconvergence.run ~arena ?region_gate_cap circuit)
-    else None
+    if want `Reconvergence then Some (Reconvergence.run ~arena circuit) else None
   in
   let observability =
     if want `Observability then Some (Observability.run ~arena ?constants circuit)

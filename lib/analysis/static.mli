@@ -27,7 +27,6 @@ val run :
   ?passes:pass list ->
   ?p_source:(Spsta_netlist.Circuit.id -> float) ->
   ?delay_bounds:(Spsta_netlist.Circuit.id -> float * float) ->
-  ?region_gate_cap:int ->
   Spsta_netlist.Circuit.t ->
   t
 (** Runs the requested [passes] (default {!all_passes}; order in the

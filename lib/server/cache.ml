@@ -39,7 +39,7 @@ module Lru = struct
     Mutex.lock t.mutex;
     Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-  let find t key =
+  let lookup ~count_miss t key =
     locked t (fun () ->
         match Hashtbl.find_opt t.table key with
         | Some e ->
@@ -48,8 +48,14 @@ module Lru = struct
           Atomic.incr t.hits;
           Some e.value
         | None ->
-          Atomic.incr t.misses;
+          if count_miss then Atomic.incr t.misses;
           None)
+
+  let find t key = lookup ~count_miss:true t key
+
+  (* Counts a hit but not a miss: for a fast path whose miss is counted
+     by the full lookup that follows it. *)
+  let find_hit t key = lookup ~count_miss:false t key
 
   (* Evict the least-recently-used entry.  A linear scan over at most
      [capacity] entries; capacities here are tens to hundreds, far below
@@ -103,6 +109,12 @@ type t = {
       (* persistent backing for the result memo: consulted on LRU miss,
          appended on store, so memoised payloads survive process
          restarts and are shared by every instance on the same path *)
+  in_flight : (string, unit) Hashtbl.t;
+      (* memo keys whose payload some domain is computing right now;
+         guarded by [flight_mutex], with [flight_done] broadcast whenever
+         a key leaves the table *)
+  flight_mutex : Mutex.t;
+  flight_done : Condition.t;
 }
 
 exception Load_error of { code : Protocol.error_code; message : string }
@@ -118,7 +130,8 @@ let create ?(loader = default_loader) ?store ?(circuit_capacity = 32)
     ?(result_capacity = 512) () =
   { circuits = Lru.create ~capacity:circuit_capacity;
     results = Lru.create ~capacity:result_capacity;
-    loader; store }
+    loader; store; in_flight = Hashtbl.create 16; flight_mutex = Mutex.create ();
+    flight_done = Condition.create () }
 
 let load_circuit t name =
   match Lru.find t.circuits name with
@@ -208,6 +221,49 @@ let find_result t key =
 let store_result t key payload =
   Lru.add t.results key payload;
   match t.store with None -> () | Some store -> Store.add store key payload
+
+(* Single-flight memo lookup.  The lookup runs under [flight_mutex]
+   and only while no domain computes [key], so a miss here means nobody
+   has stored the payload and nobody is about to: the caller claims the
+   key and computes outside the lock.  Later callers for the same key
+   wait until the claim is released and then look again, which is a
+   memo hit unless the computation raised — then one of them claims the
+   key in turn.  Two identical requests on two workers therefore compute
+   once and count one miss and one hit.  An in-memory hit skips the
+   flight lock altogether. *)
+let find_or_compute t key compute =
+  let rec claim () =
+    if Hashtbl.mem t.in_flight key then begin
+      Condition.wait t.flight_done t.flight_mutex;
+      claim ()
+    end
+    else
+      match find_result t key with
+      | Some _ as hit -> hit
+      | None ->
+        Hashtbl.replace t.in_flight key ();
+        None
+  in
+  let found =
+    match Lru.find_hit t.results key with
+    | Some _ as hit -> hit
+    | None ->
+      Mutex.lock t.flight_mutex;
+      Fun.protect ~finally:(fun () -> Mutex.unlock t.flight_mutex) claim
+  in
+  match found with
+  | Some payload -> payload
+  | None ->
+    let release () =
+      Mutex.lock t.flight_mutex;
+      Hashtbl.remove t.in_flight key;
+      Condition.broadcast t.flight_done;
+      Mutex.unlock t.flight_mutex
+    in
+    Fun.protect ~finally:release (fun () ->
+        let payload = compute () in
+        store_result t key payload;
+        payload)
 
 let store t = t.store
 

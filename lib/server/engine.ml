@@ -312,15 +312,9 @@ let execute ?(domains = 1) ?sessions (cache : Cache.t) (request : Protocol.reque
           invalid_arg "Engine.execute: control request"
       in
       let key = Cache.memo_key ~digest:loaded.Cache.digest request.Protocol.kind in
-      let payload =
-        match Cache.find_result cache key with
-        | Some payload -> payload
-        | None ->
-          let payload = compute_payload ~domains cache request.Protocol.kind in
-          Cache.store_result cache key payload;
-          payload
-      in
-      finish payload
+      finish
+        (Cache.find_or_compute cache key (fun () ->
+             compute_payload ~domains cache request.Protocol.kind))
   with
   | Session.Error { code; message } ->
     Protocol.Error { id = Some request.Protocol.id; code; message }

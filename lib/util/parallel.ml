@@ -70,21 +70,24 @@ let max_workers = 64
 
 let spin_limit = 4096
 
+(* Built eagerly: the record only holds mutexes and counters (workers
+   are spawned on first use by [ensure_workers]), and a [lazy] here
+   raised [CamlinternalLazy.Undefined] when two domains made their first
+   parallel call at the same time. *)
 let the_pool =
-  lazy
-    {
-      mutex = Mutex.create ();
-      work_cond = Condition.create ();
-      done_cond = Condition.create ();
-      generation = 0;
-      gen_hint = Atomic.make 0;
-      job = None;
-      size = 0;
-      workers = [];
-      jobs_posted = 0;
-      shutdown = false;
-      submit = Mutex.create ();
-    }
+  {
+    mutex = Mutex.create ();
+    work_cond = Condition.create ();
+    done_cond = Condition.create ();
+    generation = 0;
+    gen_hint = Atomic.make 0;
+    job = None;
+    size = 0;
+    workers = [];
+    jobs_posted = 0;
+    shutdown = false;
+    submit = Mutex.create ();
+  }
 
 (* Claim and run chunks until the work index runs dry.  After a failure
    the remaining chunks are still claimed and counted (so completion
@@ -133,17 +136,15 @@ let rec worker_loop pool index seen =
   end
 
 let shutdown_pool () =
-  if Lazy.is_val the_pool then begin
-    let pool = Lazy.force the_pool in
-    Mutex.lock pool.mutex;
-    pool.shutdown <- true;
-    Condition.broadcast pool.work_cond;
-    let workers = pool.workers in
-    pool.workers <- [];
-    pool.size <- 0;
-    Mutex.unlock pool.mutex;
-    List.iter Domain.join workers
-  end
+  let pool = the_pool in
+  Mutex.lock pool.mutex;
+  pool.shutdown <- true;
+  Condition.broadcast pool.work_cond;
+  let workers = pool.workers in
+  pool.workers <- [];
+  pool.size <- 0;
+  Mutex.unlock pool.mutex;
+  List.iter Domain.join workers
 
 (* Grow the pool to [wanted] workers.  Only called with [pool.submit]
    held, so [generation] is stable and no job can be posted mid-growth. *)
@@ -170,7 +171,7 @@ let run_chunks ~domains ~chunks f =
         f k
       done
     else begin
-      let pool = Lazy.force the_pool in
+      let pool = the_pool in
       if not (Mutex.try_lock pool.submit) then
         (* nested / concurrent parallel region: the single job slot is
            busy, so run inline (same chunks, same results) rather than
@@ -236,7 +237,6 @@ let iter_ranges ~domains n f =
     end
   end
 
-let pool_size () = if Lazy.is_val the_pool then (Lazy.force the_pool).size else 0
+let pool_size () = the_pool.size
 
-let pool_jobs () =
-  if Lazy.is_val the_pool then (Lazy.force the_pool).jobs_posted else 0
+let pool_jobs () = the_pool.jobs_posted

@@ -57,6 +57,40 @@ let test_cache_digest_stable () =
   Alcotest.(check string) "same digest" a.Cache.digest b.Cache.digest;
   Alcotest.(check bool) "second load is a hit" true (Cache.circuit_hits cache > 0)
 
+(* Four domains asking for one memo key at once: one computes, the
+   others wait for it and then hit the memo.  A compute that raises
+   releases the key, so the next caller computes it afresh. *)
+let test_memo_single_flight () =
+  let cache = Cache.create () in
+  let computes = Atomic.make 0 in
+  let arrived = Atomic.make 0 in
+  let compute () =
+    Atomic.incr computes;
+    Unix.sleepf 0.05;
+    Json.int 42
+  in
+  let domains =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            Atomic.incr arrived;
+            while Atomic.get arrived < 4 do
+              Domain.cpu_relax ()
+            done;
+            Cache.find_or_compute cache "k" compute))
+  in
+  let payloads = List.map Domain.join domains in
+  Alcotest.(check int) "computed once" 1 (Atomic.get computes);
+  List.iter
+    (fun p -> Alcotest.(check (option int)) "payload" (Some 42) (Json.to_int_opt p))
+    payloads;
+  Alcotest.(check int) "one miss" 1 (Cache.result_misses cache);
+  Alcotest.(check int) "three hits" 3 (Cache.result_hits cache);
+  ( match Cache.find_or_compute cache "bad" (fun () -> failwith "boom") with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "expected the compute's exception" );
+  Alcotest.(check (option int)) "released after a raise" (Some 7)
+    (Json.to_int_opt (Cache.find_or_compute cache "bad" (fun () -> Json.int 7)))
+
 (* ---------- pool ---------- *)
 
 let test_pool_results () =
@@ -328,6 +362,7 @@ let suite =
     Alcotest.test_case "lru replace" `Quick test_lru_replace;
     Alcotest.test_case "cache load errors" `Quick test_cache_load_errors;
     Alcotest.test_case "cache digest stable" `Quick test_cache_digest_stable;
+    Alcotest.test_case "memo single-flight" `Quick test_memo_single_flight;
     Alcotest.test_case "pool results" `Quick test_pool_results;
     Alcotest.test_case "pool exception" `Quick test_pool_exception;
     Alcotest.test_case "pool deadline" `Quick test_pool_deadline;
