@@ -43,6 +43,7 @@ module Circuit = Spsta_netlist.Circuit
 module Analyzer = Spsta_core.Analyzer
 module Monte_carlo = Spsta_sim.Monte_carlo
 module Ssta = Spsta_ssta.Ssta
+module Propagate = Spsta_engine.Propagate
 module Json = Spsta_server.Json
 
 let runs =
@@ -732,27 +733,7 @@ let json_bench_circuit ~mc_runs ~domains name =
    the current host; on a single-core machine they sit near 1.0 by
    construction (see doc/perf.md). *)
 
-let scale_dirty_cone circuit root =
-  (* register-bounded fanout marking, mirroring Propagate.update *)
-  let n = Circuit.num_nets circuit in
-  let dirty = Array.make n false in
-  let gates = ref 0 in
-  let rec mark id =
-    if not dirty.(id) then begin
-      dirty.(id) <- true;
-      (match Circuit.driver circuit id with
-      | Circuit.Gate _ -> incr gates
-      | Circuit.Input | Circuit.Dff_output _ -> ());
-      Array.iter
-        (fun out ->
-          match Circuit.driver circuit out with
-          | Circuit.Dff_output _ -> ()
-          | Circuit.Gate _ | Circuit.Input -> mark out)
-        (Circuit.fanout circuit id)
-    end
-  in
-  mark root;
-  !gates
+let scale_dirty_cone circuit root = Array.length (Propagate.dirty_cone circuit ~changed:[ root ])
 
 let scale_profile name =
   match Spsta_netlist.Generator.find_profile name with

@@ -114,8 +114,7 @@ let check_arg =
      propagated state (finite moments, non-negative masses, conservation up to the \
      tracked truncation bound) and abort with a diagnostic naming the circuit, net, gate \
      kind and level on the first violation.  Also enabled by SPSTA_CHECK=1; without \
-     either, no wrapper is installed and results are bit-identical to a run without the \
-     feature."
+     either, nothing is checked; a checked run that passes gives bit-identical results."
   in
   Arg.(value & flag & info [ "check" ] ~doc)
 

@@ -1,20 +1,20 @@
 module Circuit = Spsta_netlist.Circuit
 module Gate_kind = Spsta_logic.Gate_kind
-module Parallel = Spsta_util.Parallel
 module Clark = Spsta_dist.Clark
 module FA = Float.Array
 
 (* Flat struct-of-arrays fast path for the SSTA-shaped domains.
 
-   The record engine ([Propagate.Make]) pays boxed prices per gate: an
-   operand array, several [Normal.t]/state records, a closure result —
-   hundreds of bytes of minor-heap churn per gate, which at a million
-   gates dominates the sweep and serializes the parallel domains on GC.
+   The record engine ([Propagate.run]) pays boxed prices per gate:
+   several [Normal.t]/state records and a closure result — hundreds of
+   bytes of minor-heap churn per gate, which at a million gates
+   dominates the sweep and serializes the parallel domains on GC.
    Here per-net state lives in preallocated [floatarray]s (one slot per
    net id per component), gates are walked through the circuit's cached
    CSR view ({!Circuit.csr}), and the inner loop is scalar float code
    folding through {!Clark.max_mv}/{!Clark.min_mv} via caller-owned
-   all-float buffers: no per-gate allocation at all.
+   all-float buffers: no per-gate allocation at all.  Scheduling is
+   [Propagate.Sweep], the same scheduler the record engine runs on.
 
    Every fold replays the record engine's operation order exactly —
    carry sigma, re-square it per Clark step like [Normal.variance],
@@ -33,100 +33,6 @@ type rf_buf = {
 }
 
 let rf_buf () = { rise_mu = 0.0; rise_sig = 0.0; fall_mu = 0.0; fall_sig = 0.0 }
-
-(* The scheduling skeleton shared by the flat kernels: the same
-   sequential sweep / levelized-parallel sweep (persistent pool, chunk
-   claiming, narrow-level fusion, [wide_cutoff]) / dirty-cone update as
-   [Propagate.Make], re-expressed over CSR gate-index ranges.  The
-   cutoffs and chunk decompositions are copied verbatim from the record
-   engine so the two schedules stay aligned. *)
-module type KERNEL = sig
-  type t
-
-  type scratch
-  (** Per-worker state (Clark buffers, …) — never shared across domains. *)
-
-  val circuit : t -> Circuit.t
-  val scratch : t -> scratch
-  val seed : t -> scratch -> Circuit.id -> unit
-  val eval : t -> scratch -> int -> unit
-  (** Evaluate the gate at CSR index [k] (= topo position), reading
-      operand slots and writing the output slot.  Pure per gate, which
-      is what keeps the parallel schedule bit-identical. *)
-end
-
-module Sweep (K : KERNEL) = struct
-  let wide_cutoff domains = max 16 (2 * domains)
-
-  let seq_range t scratch glo ghi =
-    for k = glo to ghi - 1 do
-      K.eval t scratch k
-    done
-
-  let par_range ~domains t glo ghi =
-    let width = ghi - glo in
-    let chunks = min width (max domains (min (4 * domains) (width / 8))) in
-    let bounds = Parallel.ranges ~chunks width in
-    Parallel.run_chunks ~domains ~chunks:(Array.length bounds) (fun c ->
-        (* per-chunk scratch: chunks of one level run concurrently *)
-        let scratch = K.scratch t in
-        let lo, hi = bounds.(c) in
-        seq_range t scratch (glo + lo) (glo + hi))
-
-  let sweep ~domains t =
-    let csr = Circuit.csr (K.circuit t) in
-    let level_off = csr.Circuit.level_off in
-    let nlev = Array.length level_off - 1 in
-    let scratch = K.scratch t in
-    if domains = 1 then seq_range t scratch 0 (Array.length csr.Circuit.gate_net)
-    else begin
-      (* runs of adjacent narrow levels are fused; levels are contiguous
-         CSR ranges, so a fused run is just a longer range *)
-      let cutoff = wide_cutoff domains in
-      let l = ref 0 in
-      while !l < nlev do
-        let glo = level_off.(!l) in
-        if level_off.(!l + 1) - glo >= cutoff then begin
-          par_range ~domains t glo level_off.(!l + 1);
-          incr l
-        end
-        else begin
-          incr l;
-          while !l < nlev && level_off.(!l + 1) - level_off.(!l) < cutoff do
-            incr l
-          done;
-          seq_range t scratch glo level_off.(!l)
-        end
-      done
-    end
-
-  let run ~domains t =
-    let circuit = K.circuit t in
-    (match Circuit.sources circuit with
-    | [] ->
-      (* acyclicity forces every non-empty circuit to have a minimal
-         net, and minimal nets are sources *)
-      if Circuit.num_nets circuit > 0 then invalid_arg "Flat.run: circuit has nets but no sources"
-    | sources ->
-      let scratch = K.scratch t in
-      List.iter (K.seed t scratch) sources);
-    sweep ~domains t
-
-  let update t ~changed =
-    let circuit = K.circuit t in
-    let cone = Propagate.dirty_cone circuit ~changed in
-    let scratch = K.scratch t in
-    (* refresh changed sources (their seed is what changed); marking
-       never reaches a source, so the changed roots are the only
-       candidates *)
-    List.iter
-      (fun id ->
-        match Circuit.driver circuit id with
-        | Circuit.Input | Circuit.Dff_output _ -> K.seed t scratch id
-        | Circuit.Gate _ -> ())
-      changed;
-    Array.iter (fun id -> K.eval t scratch (Circuit.topo_position circuit id)) cone
-end
 
 (* ------------------------------------------------------------------ *)
 (* Min/max-separated SSTA (the [Ssta] analyzer's domain): one normal
@@ -303,7 +209,7 @@ module Ssta = struct
       store_checked t g ~rise_mu ~rise_sig ~fall_mu ~fall_sig
   end
 
-  module S = Sweep (K)
+  module S = Propagate.Sweep (K)
 
   let kernel st cfg =
     let csr = Circuit.csr st.circuit in
@@ -317,7 +223,6 @@ module Ssta = struct
     }
 
   let run ~source ~delay ?check ?domains circuit =
-    let domains = match domains with Some d -> Parallel.check_domains d | None -> 1 in
     let n = Circuit.num_nets circuit in
     let st =
       {
@@ -330,7 +235,7 @@ module Ssta = struct
         fall_sigma = FA.make n 0.0;
       }
     in
-    S.run ~domains (kernel st { source; delay; check });
+    S.run ?domains (kernel st { source; delay; check });
     st
 
   let update ~source ~delay ?check st ~changed =
@@ -411,7 +316,7 @@ module Sta = struct
       store_checked t g ~early:(!e +. d) ~late:(!l +. d)
   end
 
-  module S = Sweep (K)
+  module S = Propagate.Sweep (K)
 
   let kernel st cfg =
     let csr = Circuit.csr st.circuit in
@@ -424,10 +329,9 @@ module Sta = struct
     }
 
   let run ~source ~delay ?check ?domains circuit =
-    let domains = match domains with Some d -> Parallel.check_domains d | None -> 1 in
     let n = Circuit.num_nets circuit in
     let st = { circuit; early = FA.make n 0.0; late = FA.make n 0.0 } in
-    S.run ~domains (kernel st { source; delay; check });
+    S.run ?domains (kernel st { source; delay; check });
     st
 
   let update ~source ~delay ?check st ~changed =

@@ -1,9 +1,9 @@
 (** Flat struct-of-arrays kernels for the SSTA-shaped propagation
     domains.
 
-    The record engine ({!Propagate.Make}) allocates an operand array
-    plus several state records per gate; at a million gates that churn
-    dominates the sweep and serializes the parallel domains on GC.
+    The record engine ({!Propagate.run}) allocates several state
+    records per gate; at a million gates that churn dominates the sweep
+    and serializes the parallel domains on GC.
     These kernels keep per-net state in preallocated [floatarray]s (one
     slot per net id per moment component), walk the gates through the
     circuit's cached CSR view ({!Spsta_netlist.Circuit.csr}), and fold
@@ -11,15 +11,14 @@
     ({!Spsta_dist.Clark.mv}, {!rf_buf}) — the inner loop performs no
     allocation at all.
 
-    Scheduling (sequential sweep, levelized-parallel sweep over the
-    persistent {!Spsta_util.Parallel} pool with narrow-level fusion,
-    in-place dirty-cone incremental update via
-    {!Propagate.dirty_cone}) mirrors the record engine exactly, and
-    every fold replays the record
-    engine's operation order — results are bit-identical (IEEE-exact)
-    to the record engine at every domain count.  The analyzers
-    ({!Spsta_ssta.Ssta}, {!Spsta_ssta.Sta}) route through these kernels
-    by default and materialize records only at their API boundary. *)
+    Scheduling (sequential sweep, levelized-parallel sweep with
+    narrow-level fusion, in-place dirty-cone incremental update) is
+    {!Propagate.Sweep}, the scheduler the record engine runs on too,
+    and every fold replays the record engine's operation order —
+    results are bit-identical (IEEE-exact) to the record engine at every
+    domain count.  The analyzers ({!Spsta_ssta.Ssta}, {!Spsta_ssta.Sta})
+    run on these kernels and materialize records only at their API
+    boundary. *)
 
 type rf_buf = {
   mutable rise_mu : float;
@@ -33,46 +32,6 @@ type rf_buf = {
 
 val rf_buf : unit -> rf_buf
 (** A zeroed buffer. *)
-
-(** A flat kernel: per-net state in preallocated arrays, one gate
-    evaluated at a time by CSR index.  {!Sweep} supplies the scheduling
-    every flat kernel shares. *)
-module type KERNEL = sig
-  type t
-  (** The kernel's state and configuration for one sweep. *)
-
-  type scratch
-  (** Per-worker buffers, never shared across domains: {!Sweep} makes
-      one per sequential run and one per parallel chunk. *)
-
-  val circuit : t -> Spsta_netlist.Circuit.t
-  val scratch : t -> scratch
-
-  val seed : t -> scratch -> Spsta_netlist.Circuit.id -> unit
-  (** Write a source net's state. *)
-
-  val eval : t -> scratch -> int -> unit
-  (** Evaluate the gate at CSR index [k] (= its topo position), reading
-      its operands' state and writing only its own net's.  Gates within
-      one level never read each other, so this is what keeps the
-      parallel schedule bit-identical to the sequential one. *)
-end
-
-(** The scheduling of {!Propagate.Make}, re-expressed over CSR gate
-    ranges: sequential sweep, levelized-parallel sweep over the
-    persistent {!Spsta_util.Parallel} pool (same chunking, narrow-level
-    fusion and [max 16 (2 * domains)] cutoff), and dirty-cone update. *)
-module Sweep (K : KERNEL) : sig
-  val run : domains:int -> K.t -> unit
-  (** Seed every source, then evaluate every gate.  [domains] must
-      already be validated ({!Spsta_util.Parallel.check_domains}).
-      Raises [Invalid_argument] on a circuit with nets but no sources. *)
-
-  val update : K.t -> changed:Spsta_netlist.Circuit.id list -> unit
-  (** Re-seed the changed sources and re-evaluate the combinational
-      fanout cones of [changed] ({!Propagate.dirty_cone}) in sequential
-      order, in place. *)
-end
 
 (** Min/max-separated SSTA: one normal arrival per transition direction
     per net, Clark MAX/MIN folds per gate (the {!Spsta_ssta.Ssta}
@@ -98,7 +57,7 @@ module Ssta : sig
   (** Full sweep.  [source] fills the buffer with a source net's arrival
       moments; [delay] fills it with a gate's (rise, fall) delay moments
       and is called exactly once per evaluated gate.  [domains] and the
-      scheduling cutoffs behave exactly as in {!Propagate.Make.run}. *)
+      scheduling cutoffs behave exactly as in {!Propagate.Sweep.run}. *)
 
   val update :
     source:(Spsta_netlist.Circuit.id -> rf_buf -> unit) ->
@@ -108,7 +67,7 @@ module Ssta : sig
     changed:Spsta_netlist.Circuit.id list ->
     unit
   (** Dirty-cone incremental re-propagation in place,
-      {!Propagate.Make.update} semantics: re-seeds changed sources and
+      {!Propagate.Sweep.update} semantics: re-seeds changed sources and
       re-evaluates exactly the combinational fanout cones in sequential
       order ([delay] is called once per dirty gate).  Slots outside the
       cones are not touched. *)

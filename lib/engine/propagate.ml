@@ -1,15 +1,6 @@
 module Circuit = Spsta_netlist.Circuit
 module Parallel = Spsta_util.Parallel
 
-type 'state result = { circuit : Circuit.t; per_net : 'state array }
-
-module type DOMAIN = sig
-  type state
-
-  val source : Circuit.id -> state
-  val eval : Circuit.t -> Circuit.id -> Circuit.driver -> state array -> state
-end
-
 module Sanitize = struct
   type 'state check = Circuit.t -> Circuit.id -> 'state -> (string * string) option
 
@@ -53,20 +44,6 @@ module Sanitize = struct
            level = Circuit.level circuit id;
            rule;
            message })
-
-  let checked circuit check id state =
-    match check circuit id state with
-    | None -> state
-    | Some (rule, message) -> fail ~circuit id ~rule ~message
-
-  let wrap (type s) ~circuit ~(check : s check) (module D : DOMAIN with type state = s) :
-      (module DOMAIN with type state = s) =
-    (module struct
-      type state = s
-
-      let source id = checked circuit check id (D.source id)
-      let eval c id driver operands = checked circuit check id (D.eval c id driver operands)
-    end)
 end
 
 (* Mark the union of fanout cones of the changed nets — through
@@ -78,10 +55,7 @@ end
    whole netlist; its combinational cone is a few percent).  Callers
    whose *seed* changed — a Q net after a sequential iteration, a
    source with new input statistics — name that net in [changed] and it
-   is marked as a root here.
-
-   Shared by the record engine's {!Make.update} and the flat kernels in
-   {!Flat}: one marking pass, one set of register-boundary semantics. *)
+   is marked as a root here. *)
 let dirty_cone circuit ~changed =
   let n = Circuit.num_nets circuit in
   (* a byte per net, not a word: initialising the mark store is part of
@@ -116,129 +90,165 @@ let dirty_cone circuit ~changed =
     cone;
   cone
 
-module Make (D : DOMAIN) = struct
-  (* Reusable operand buffers, one per fan-in arity, replacing the
-     fresh [Array.map] allocation [step] used to pay per gate: on a
-     million-gate sweep those throwaway arrays were a measurable slice
-     of the minor-heap churn that serializes parallel domains on GC.
-     One scratch per worker — never shared across domains. *)
-  type scratch = D.state array array ref
+(* ------------------------------------------------------------------ *)
+(* The scheduler: sequential sweep, levelized-parallel sweep (persistent
+   pool, chunk claiming, narrow-level fusion) and dirty-cone update,
+   over CSR gate-index ranges. *)
 
-  let scratch_create () : scratch = ref [||]
+module type KERNEL = sig
+  type t
+  type scratch
 
-  let operand_buf (scratch : scratch) n init =
-    let tbl =
-      if Array.length !scratch <= n then begin
-        let t = Array.make (n + 1) [||] in
-        Array.blit !scratch 0 t 0 (Array.length !scratch);
-        scratch := t;
-        t
-      end
-      else !scratch
-    in
-    if Array.length tbl.(n) <> n then tbl.(n) <- Array.make n init;
-    tbl.(n)
+  val circuit : t -> Circuit.t
+  val scratch : t -> scratch
+  val seed : t -> scratch -> Circuit.id -> unit
+  val eval : t -> scratch -> int -> unit
+end
 
-  (* One gate of the propagation, reading operands from [per_net] and
-     writing its own slot.  Gates within one level never read each
-     other, so a whole level can run this step concurrently; [D.eval]
-     is pure and must not retain the operand buffer, which makes the
-     parallel schedule bit-identical to the sequential one. *)
-  let step circuit per_net scratch g =
-    match Circuit.driver circuit g with
-    | Circuit.Gate { inputs; _ } as driver ->
-      let n = Array.length inputs in
-      (* finalize rejects zero-arity gates, so [inputs.(0)] exists *)
-      let ops = operand_buf scratch n per_net.(inputs.(0)) in
-      for j = 0 to n - 1 do
-        ops.(j) <- per_net.(inputs.(j))
-      done;
-      per_net.(g) <- D.eval circuit g driver ops
-    | Circuit.Input | Circuit.Dff_output _ -> assert false
-
+module Sweep (K : KERNEL) = struct
   (* Narrow levels aren't worth a barrier; the cutoff only affects
      scheduling, never values. *)
   let wide_cutoff domains = max 16 (2 * domains)
+
+  let seq_range t scratch glo ghi =
+    for k = glo to ghi - 1 do
+      K.eval t scratch k
+    done
 
   (* One wide level across the persistent domain pool: the level is cut
      into chunks (several per domain, each a contiguous gate range of at
      least ~8 gates) claimed through an atomic work index, so uneven
      per-gate costs load-balance while the chunk decomposition — hence
      the result — stays a pure function of (width, domains). *)
-  let par_level ~domains circuit per_net gates =
-    let width = Array.length gates in
+  let par_range ~domains t glo ghi =
+    let width = ghi - glo in
     let chunks = min width (max domains (min (4 * domains) (width / 8))) in
     let bounds = Parallel.ranges ~chunks width in
-    Parallel.run_chunks ~domains ~chunks:(Array.length bounds) (fun k ->
+    Parallel.run_chunks ~domains ~chunks:(Array.length bounds) (fun c ->
         (* per-chunk scratch: chunks of one level run concurrently *)
-        let scratch = scratch_create () in
-        let lo, hi = bounds.(k) in
-        for i = lo to hi - 1 do
-          step circuit per_net scratch gates.(i)
-        done)
+        let scratch = K.scratch t in
+        let lo, hi = bounds.(c) in
+        seq_range t scratch (glo + lo) (glo + hi))
 
-  (* runs of adjacent narrow levels are fused into one sequential batch
-     on the calling domain — zero scheduler interaction — so only the
-     genuinely wide levels pay a barrier *)
-  let sweep_levels ~domains circuit per_net =
-    let by_level = Circuit.gates_by_level circuit in
-    let cutoff = wide_cutoff domains in
-    let scratch = scratch_create () in
-    let nlev = Array.length by_level in
-    let i = ref 0 in
-    while !i < nlev do
-      let gates = by_level.(!i) in
-      if Array.length gates >= cutoff then begin
-        par_level ~domains circuit per_net gates;
-        incr i
-      end
-      else begin
-        Array.iter (step circuit per_net scratch) gates;
-        incr i;
-        while !i < nlev && Array.length by_level.(!i) < cutoff do
-          Array.iter (step circuit per_net scratch) by_level.(!i);
-          incr i
-        done
-      end
-    done
+  let sweep ~domains t =
+    let csr = Circuit.csr (K.circuit t) in
+    let level_off = csr.Circuit.level_off in
+    let nlev = Array.length level_off - 1 in
+    let scratch = K.scratch t in
+    if domains = 1 then seq_range t scratch 0 (Array.length csr.Circuit.gate_net)
+    else begin
+      (* runs of adjacent narrow levels are fused into one sequential
+         batch on the calling domain; levels are contiguous CSR ranges,
+         so a fused run is just a longer range *)
+      let cutoff = wide_cutoff domains in
+      let l = ref 0 in
+      while !l < nlev do
+        let glo = level_off.(!l) in
+        if level_off.(!l + 1) - glo >= cutoff then begin
+          par_range ~domains t glo level_off.(!l + 1);
+          incr l
+        end
+        else begin
+          incr l;
+          while !l < nlev && level_off.(!l + 1) - level_off.(!l) < cutoff do
+            incr l
+          done;
+          seq_range t scratch glo level_off.(!l)
+        end
+      done
+    end
 
-  let run ?domains circuit =
-    let domains =
-      match domains with Some d -> Parallel.check_domains d | None -> 1
-    in
-    let n = Circuit.num_nets circuit in
-    match Circuit.sources circuit with
+  let run ?domains t =
+    let domains = match domains with Some d -> Parallel.check_domains d | None -> 1 in
+    let circuit = K.circuit t in
+    (match Circuit.sources circuit with
     | [] ->
       (* acyclicity forces every non-empty circuit to have a minimal
          net, and minimal nets are sources *)
-      if n > 0 then invalid_arg "Propagate.run: circuit has nets but no sources";
-      { circuit; per_net = [||] }
-    | s0 :: _ as sources ->
-      (* the fill value is arbitrary: every net is either a source
-         (seeded below) or a gate (written before it is ever read) *)
-      let per_net = Array.make n (D.source s0) in
-      List.iter (fun s -> per_net.(s) <- D.source s) sources;
-      if domains = 1 then begin
-        let scratch = scratch_create () in
-        Array.iter (step circuit per_net scratch) (Circuit.topo_gates circuit)
-      end
-      else sweep_levels ~domains circuit per_net;
-      { circuit; per_net }
+      if Circuit.num_nets circuit > 0 then
+        invalid_arg "Propagate.run: circuit has nets but no sources"
+    | sources ->
+      let scratch = K.scratch t in
+      List.iter (K.seed t scratch) sources);
+    sweep ~domains t
 
-  let update r ~changed =
-    let circuit = r.circuit in
+  let update t ~changed =
+    let circuit = K.circuit t in
     let cone = dirty_cone circuit ~changed in
-    let per_net = r.per_net in
+    let scratch = K.scratch t in
     (* refresh changed sources (their seed is what changed); marking
-       itself never reaches a source — fanout targets are always gates
-       or register D pins — so the changed roots are the only
-       candidates *)
+       never reaches a source — fanout targets are always gates or
+       register D pins — so the changed roots are the only candidates *)
     List.iter
       (fun id ->
         match Circuit.driver circuit id with
-        | Circuit.Input | Circuit.Dff_output _ -> per_net.(id) <- D.source id
+        | Circuit.Input | Circuit.Dff_output _ -> K.seed t scratch id
         | Circuit.Gate _ -> ())
       changed;
-    let scratch = scratch_create () in
-    Array.iter (step circuit per_net scratch) cone
+    Array.iter (fun id -> K.eval t scratch (Circuit.topo_position circuit id)) cone
 end
+
+(* ------------------------------------------------------------------ *)
+(* The record engine: one boxed state per net, as a kernel whose
+   per-worker scratch is the gate step itself, closed over that
+   worker's operand buffers. *)
+
+type 'state result = { circuit : Circuit.t; per_net : 'state array }
+
+module Record = struct
+  type t = { circuit : Circuit.t; seed : Circuit.id -> unit; worker : unit -> int -> unit }
+  type scratch = int -> unit
+
+  let circuit t = t.circuit
+  let scratch t = t.worker ()
+  let seed t _ id = t.seed id
+  let eval _ step k = step k
+end
+
+module R = Sweep (Record)
+
+let kernel ?check circuit per_net ~source ~eval =
+  let store id state =
+    (match check with
+    | None -> ()
+    | Some check -> (
+      match check circuit id state with
+      | None -> ()
+      | Some (rule, message) -> Sanitize.fail ~circuit id ~rule ~message));
+    per_net.(id) <- state
+  in
+  let csr = Circuit.csr circuit in
+  let worker () =
+    (* operand buffers, one per fan-in arity, reused across this
+       worker's gates instead of a fresh array per gate *)
+    let bufs = Array.make (csr.Circuit.max_fanin + 1) [||] in
+    fun k ->
+      let g = csr.Circuit.gate_net.(k) in
+      match Circuit.driver circuit g with
+      | Circuit.Gate { inputs; _ } as driver ->
+        let n = Array.length inputs in
+        (* finalize rejects zero-arity gates, so [inputs.(0)] exists *)
+        if Array.length bufs.(n) <> n then bufs.(n) <- Array.make n per_net.(inputs.(0));
+        let ops = bufs.(n) in
+        for j = 0 to n - 1 do
+          ops.(j) <- per_net.(inputs.(j))
+        done;
+        store g (eval circuit g driver ops)
+      | Circuit.Input | Circuit.Dff_output _ -> assert false
+  in
+  { Record.circuit; seed = (fun id -> store id (source id)); worker }
+
+let run ?check ?domains circuit ~source ~eval =
+  let per_net =
+    match Circuit.sources circuit with
+    | [] -> [||] (* {!Sweep.run} rejects nets without sources *)
+    | s0 :: _ ->
+      (* the fill value is arbitrary: every net is either a source
+         (seeded) or a gate (written before it is ever read) *)
+      Array.make (Circuit.num_nets circuit) (source s0)
+  in
+  R.run ?domains (kernel ?check circuit per_net ~source ~eval);
+  { circuit; per_net }
+
+let update ?check r ~source ~eval ~changed =
+  R.update (kernel ?check r.circuit r.per_net ~source ~eval) ~changed

@@ -5,8 +5,7 @@
     SSTA and interval/affine STA — is the same traversal: seed the
     sources, then fold each gate's operand states into its output state
     in topological order.  This module implements that traversal exactly
-    once, functorized over the *propagation domain* (the per-net state
-    and the per-gate transfer function), and gives every instantiation
+    once, as {!Sweep} over a {!KERNEL}, and gives every kernel
 
     - the sequential topological sweep,
     - the levelized domain-parallel sweep ({!Spsta_netlist.Circuit.gates_by_level}
@@ -14,42 +13,14 @@
       wide levels are cut into chunks claimed through an atomic work
       index, runs of narrow levels are fused into one sequential batch),
       bit-identical to the sequential one at every domain count,
-    - dirty-cone incremental {!Make.update} via fanout marking, with
-      re-evaluation cost proportional to the cone, refining the result
-      in place. *)
+    - dirty-cone incremental update via fanout marking ({!dirty_cone}),
+      with re-evaluation cost proportional to the cone, refining the
+      result in place.
 
-type 'state result = {
-  circuit : Spsta_netlist.Circuit.t;
-  per_net : 'state array;  (** indexed by net id; every net holds its final state *)
-}
-(** Defined outside {!Make} so that results produced by different
-    applications of the functor at the same state type are
-    interchangeable (analyzers rebuild their domain per call, closing
-    over per-call parameters, and feed an earlier [analyze] result to a
-    later [update]). *)
-
-module type DOMAIN = sig
-  type state
-
-  val source : Spsta_netlist.Circuit.id -> state
-  (** State seeded at a source net (primary input or flip-flop output).
-      Must be pure: the engine may call it more than once per source. *)
-
-  val eval :
-    Spsta_netlist.Circuit.t ->
-    Spsta_netlist.Circuit.id ->
-    Spsta_netlist.Circuit.driver ->
-    state array ->
-    state
-  (** [eval circuit id driver operands] computes the state of gate [id]
-      from the final states of its operands ([operands.(i)] is the state
-      of the driver's [inputs.(i)]).  Must be a pure function of its
-      arguments: the engine evaluates a whole logic level concurrently,
-      and purity is what makes the parallel schedule bit-identical to
-      the sequential one.  The [operands] array is a per-worker scratch
-      buffer the engine refills for every gate — read it eagerly during
-      the call and never retain it. *)
-end
+    The flat kernels ({!Flat}, [Spsta_core.Moment_kernel]) keep per-net
+    state in float arrays; the record engine ({!run}, {!update}) keeps
+    one boxed state per net and takes the per-gate transfer function as
+    a plain closure. *)
 
 val dirty_cone :
   Spsta_netlist.Circuit.t -> changed:Spsta_netlist.Circuit.id list -> Spsta_netlist.Circuit.id array
@@ -58,19 +29,15 @@ val dirty_cone :
     register boundary (a flip-flop Q net is a timing source — its seed
     does not read the D arrival), sorted by topological position so
     replaying the array reproduces exactly the sequential sweep's
-    evaluation order.  O(cone log cone).  The marking pass behind both
-    {!Make.update} and the flat kernels' updates ({!Flat}). *)
+    evaluation order.  O(cone log cone). *)
 
-(** Engine-wired invariant sanitizer: wrap any {!DOMAIN} so that every
-    state the engine produces — each source seed and each gate output —
-    is verified by a caller-supplied predicate before propagation
-    continues.  The first violated invariant raises {!Sanitize.Violation}
-    naming the circuit, net, driver kind and logic level, which turns
-    "the numbers look wrong somewhere" into a pinpointed diagnostic.
-
-    The wrapper is applied (or not) when the domain is built, so an
-    unchecked analysis runs the exact same code as before — strictly
-    zero overhead when checking is off. *)
+(** Engine-wired invariant sanitizer: every state the engine produces —
+    each source seed and each gate output — can be verified by a
+    caller-supplied predicate before propagation continues.  The first
+    violated invariant raises {!Sanitize.Violation} naming the circuit,
+    net, driver kind and logic level, which turns "the numbers look
+    wrong somewhere" into a pinpointed diagnostic.  An unchecked
+    analysis runs the exact same arithmetic. *)
 module Sanitize : sig
   type 'state check =
     Spsta_netlist.Circuit.t -> Spsta_netlist.Circuit.id -> 'state -> (string * string) option
@@ -101,27 +68,38 @@ module Sanitize : sig
   val fail :
     circuit:Spsta_netlist.Circuit.t -> Spsta_netlist.Circuit.id -> rule:string -> message:string -> 'a
   (** Raise {!Violation} located at the given net (name, driver kind and
-      level are read off the circuit).  For checkers that verify states
-      outside a wrapped {!DOMAIN} — the flat kernels check float slots
-      directly and report violations through this. *)
-
-  val wrap :
-    circuit:Spsta_netlist.Circuit.t ->
-    check:'s check ->
-    (module DOMAIN with type state = 's) ->
-    (module DOMAIN with type state = 's)
-  (** [wrap ~circuit ~check (module D)] is [D] with every [source] and
-      [eval] result passed through [check]; a [Some] verdict raises
-      {!Violation} located at the offending net. *)
+      level are read off the circuit).  The flat kernels check float
+      slots directly and report violations through this. *)
 end
 
-module Make (D : DOMAIN) : sig
-  val run :
-    ?domains:int ->
-    Spsta_netlist.Circuit.t ->
-    D.state result
-  (** Full propagation: seed every source with {!DOMAIN.source}, then
-      evaluate every gate with {!DOMAIN.eval} in dependency order.
+(** {1 The scheduler} *)
+
+(** A kernel: per-net state plus one gate evaluated at a time by CSR
+    index.  {!Sweep} supplies the scheduling every kernel shares. *)
+module type KERNEL = sig
+  type t
+  (** The kernel's state and configuration for one sweep. *)
+
+  type scratch
+  (** Per-worker buffers, never shared across domains: {!Sweep} makes
+      one per sequential run and one per parallel chunk. *)
+
+  val circuit : t -> Spsta_netlist.Circuit.t
+  val scratch : t -> scratch
+
+  val seed : t -> scratch -> Spsta_netlist.Circuit.id -> unit
+  (** Write a source net's state. *)
+
+  val eval : t -> scratch -> int -> unit
+  (** Evaluate the gate at CSR index [k] (= its topo position), reading
+      its operands' state and writing only its own net's.  Gates within
+      one level never read each other, so this is what keeps the
+      parallel schedule bit-identical to the sequential one. *)
+end
+
+module Sweep (K : KERNEL) : sig
+  val run : ?domains:int -> K.t -> unit
+  (** Seed every source, then evaluate every gate in dependency order.
 
       [domains] (default 1) evaluates each logic level's gates across
       that many domains of the persistent {!Spsta_util.Parallel} pool
@@ -133,27 +111,67 @@ module Make (D : DOMAIN) : sig
       index.  The cutoff, fusion and chunking affect scheduling only,
       never values: results are bit-identical to the sequential
       traversal at every domain count.  Raises [Invalid_argument] if
-      [domains < 1]. *)
+      [domains < 1] or on a circuit with nets but no sources. *)
 
-  val update : D.state result -> changed:Spsta_netlist.Circuit.id list -> unit
+  val update : K.t -> changed:Spsta_netlist.Circuit.id list -> unit
   (** In-place incremental re-propagation after the sources in
-      [changed] (or the domain parameters affecting them) changed:
-      marks the union of the
-      combinational fanout cones of [changed], collecting the dirty
-      gates as it goes, re-seeds the changed sources and re-evaluates
-      exactly the dirty gates in the sequential evaluation order (sorted
-      by topo position) — the work is O(cone), never a scan of the whole
-      gate list, so update cost tracks the cone size even on
-      million-gate circuits.
-      Marking stops at register boundaries — a flip-flop Q net is a
-      source whose seed does not read the D arrival, so a dirty D net
-      leaves the Q side untouched; callers whose seed itself changed (a
+      [changed] (or the parameters affecting them) changed: re-seeds
+      the changed sources and re-evaluates exactly the gates of
+      {!dirty_cone}, in the sequential evaluation order — the work is
+      O(cone), never a scan of the whole gate list.  Marking stops at
+      register boundaries, so callers whose seed itself changed (a
       source with new statistics, a Q net between sequential
-      iterations) list that net in [changed] directly.  Only the slots
-      of the changed sources and the dirty gates are overwritten; every
-      other state stays physically the same.  A caller that needs the
-      result from before the update copies [per_net] first.  Afterwards
-      the result equals a full {!run} with the updated domain whenever
-      the domain's [source]/[eval] differ from the original run's only
-      at the changed nets. *)
+      iterations) list that net in [changed] directly.  Only the
+      changed sources and the dirty gates are written. *)
 end
+
+(** {1 The record engine} *)
+
+type 'state result = {
+  circuit : Spsta_netlist.Circuit.t;
+  per_net : 'state array;  (** indexed by net id; every net holds its final state *)
+}
+
+val run :
+  ?check:'state Sanitize.check ->
+  ?domains:int ->
+  Spsta_netlist.Circuit.t ->
+  source:(Spsta_netlist.Circuit.id -> 'state) ->
+  eval:
+    (Spsta_netlist.Circuit.t ->
+    Spsta_netlist.Circuit.id ->
+    Spsta_netlist.Circuit.driver ->
+    'state array ->
+    'state) ->
+  'state result
+(** Full propagation on {!Sweep}: seed every source with [source], then
+    evaluate every gate with [eval circuit id driver operands]
+    ([operands.(i)] is the final state of the driver's [inputs.(i)]).
+
+    [source] must be pure: the engine may call it more than once per
+    source.  [eval] must be a pure function of its arguments — that is
+    what makes the parallel schedule bit-identical to the sequential
+    one — and must read [operands] eagerly and never retain it: it is a
+    per-worker buffer refilled for every gate.
+
+    [check], when given, verifies every seeded and evaluated state and
+    raises {!Sanitize.Violation} at the first net it rejects.
+    [domains] as in {!Sweep.run}. *)
+
+val update :
+  ?check:'state Sanitize.check ->
+  'state result ->
+  source:(Spsta_netlist.Circuit.id -> 'state) ->
+  eval:
+    (Spsta_netlist.Circuit.t ->
+    Spsta_netlist.Circuit.id ->
+    Spsta_netlist.Circuit.driver ->
+    'state array ->
+    'state) ->
+  changed:Spsta_netlist.Circuit.id list ->
+  unit
+(** {!Sweep.update} on a {!run} result, in place: every other slot stays
+    physically the same, so a caller that needs the result from before
+    the update copies [per_net] first.  Afterwards the result equals a
+    full {!run} whenever [source]/[eval] differ from the original run's
+    only at the changed nets. *)

@@ -225,18 +225,7 @@ module Make (B : Top.BACKEND) = struct
       | Some _ as violation -> violation
       | None -> direction "fall" s.probs.Four_value.p_fall s.fall )
 
-  let domain ~spec eval : (module Propagate.DOMAIN with type state = signal) =
-    (module struct
-      type state = signal
-
-      let source s = source_signal (spec s)
-      let eval = eval
-    end)
-
-  let checked_domain ?check circuit dom =
-    if Propagate.Sanitize.resolve check then
-      Propagate.Sanitize.wrap ~circuit ~check:signal_check dom
-    else dom
+  let checker check = if Propagate.Sanitize.resolve check then Some signal_check else None
 
   (* The engine's per-gate transfer function, closed over the per-call
      parameters: a pure function of the gate's operand signals, which is
@@ -254,24 +243,21 @@ module Make (B : Top.BACKEND) = struct
 
   let analyze ?gate_delay ?delay_sigma ?delay_of ?delay_rf ?mis ?max_enumerated_fanin ?check
       ?domains circuit ~spec =
-    let eval = gate_eval ?gate_delay ?delay_sigma ?delay_of ?delay_rf ?mis ?max_enumerated_fanin () in
-    let module D = (val checked_domain ?check circuit (domain ~spec eval)) in
-    let module E = Propagate.Make (D) in
-    E.run ?domains circuit
+    Propagate.run ?check:(checker check) ?domains circuit
+      ~source:(fun s -> source_signal (spec s))
+      ~eval:(gate_eval ?gate_delay ?delay_sigma ?delay_of ?delay_rf ?mis ?max_enumerated_fanin ())
 
   let circuit (r : result) = r.Propagate.circuit
   let signal (r : result) id = r.Propagate.per_net.(id)
 
   let update ?gate_delay ?delay_sigma ?delay_of ?delay_rf ?mis ?max_enumerated_fanin ?check r
       ~changed ~spec =
-    let eval = gate_eval ?gate_delay ?delay_sigma ?delay_of ?delay_rf ?mis ?max_enumerated_fanin () in
-    let module D =
-      (val checked_domain ?check r.Propagate.circuit (domain ~spec eval))
-    in
-    let module E = Propagate.Make (D) in
     (* the engine refines in place; this API keeps its input intact *)
     let r = { r with Propagate.per_net = Array.copy r.Propagate.per_net } in
-    E.update r ~changed;
+    Propagate.update ?check:(checker check) r
+      ~source:(fun s -> source_signal (spec s))
+      ~eval:(gate_eval ?gate_delay ?delay_sigma ?delay_of ?delay_rf ?mis ?max_enumerated_fanin ())
+      ~changed;
     r
 
   let direction_top s = function `Rise -> s.rise | `Fall -> s.fall

@@ -64,8 +64,8 @@ module type S = sig
       and conserved up to the backend's tracked truncation bound, finite
       moments — raising {!Spsta_engine.Propagate.Sanitize.Violation}
       naming the circuit, net, gate kind and level on the first
-      violation.  When off, no wrapper is installed and results are
-      bit-identical to a run without the feature. *)
+      violation.  When off, nothing is checked and results are
+      bit-identical to a checked run that passes. *)
 
   val circuit : result -> Spsta_netlist.Circuit.t
   val signal : result -> Spsta_netlist.Circuit.id -> signal

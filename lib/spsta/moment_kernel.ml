@@ -8,7 +8,6 @@ module Normal = Spsta_dist.Normal
 module Clark = Spsta_dist.Clark
 module Flat = Spsta_engine.Flat
 module Propagate = Spsta_engine.Propagate
-module Parallel = Spsta_util.Parallel
 module FA = Float.Array
 
 (* Flat struct-of-arrays SPSTA moment kernel: the WEIGHTED SUM sweep of
@@ -551,7 +550,7 @@ module K = struct
     check t g
 end
 
-module S = Flat.Sweep (K)
+module S = Propagate.Sweep (K)
 
 let kernel st params tables =
   let csr = Circuit.csr st.circuit in
@@ -586,9 +585,8 @@ let fresh circuit params ~prev =
     tables )
 
 let run params ?domains circuit =
-  let domains = match domains with Some d -> Parallel.check_domains d | None -> 1 in
   let st, tables = fresh circuit params ~prev:None in
-  S.run ~domains (kernel st params tables);
+  S.run ?domains (kernel st params tables);
   st
 
 let update params prev ~changed =

@@ -7,7 +7,7 @@
     each net owning a slice of min(16, truth-table rows whose output
     goes that way) triples (NOT/BUF take their operand's bound, sources
     one).  Because every net owns its slice, the gates of a level run in
-    parallel through {!Spsta_engine.Flat.Sweep}.
+    parallel through {!Spsta_engine.Propagate.Sweep}.
 
     Results are bit-identical to [Analyzer.Make (Top.Moment_backend)]:
     the kernel replays its enumeration order, Clark folds
@@ -42,7 +42,7 @@ val run :
   Spsta_netlist.Circuit.t ->
   t
 (** Full sweep; [domains] as in
-    {!Spsta_engine.Propagate.Make.run}.  Raises [Invalid_argument] if
+    {!Spsta_engine.Propagate.Sweep.run}.  Raises [Invalid_argument] if
     [domains < 1]. *)
 
 val update : params -> t -> changed:Spsta_netlist.Circuit.id list -> t

@@ -49,39 +49,28 @@ let analyze ?(gate_delay = 1.0) ?(dt = 0.1) ?horizon ?(input_arrival = Normal.st
   let shift cdf =
     Array.init n_grid (fun i -> if i < shift_bins then 0.0 else cdf.(i - shift_bins))
   in
-  let dom : (module Propagate.DOMAIN with type state = float array * float array) =
-    (module struct
-      type state = float array * float array
-
-      let source _ = (source_cdf, source_cdf)
-
-      (* Frechet combination of the operand cdf bands, then the delay
-         shift: a pure function of the operand slots, so the engine's
-         parallel schedule is bit-identical to the sequential sweep *)
-      let eval _circuit _g driver operands =
-        match driver with
-        | Circuit.Gate _ ->
-          let k = Array.length operands in
-          let lower =
-            Array.init n_grid (fun i ->
-                let s = Array.fold_left (fun acc band -> acc +. (fst band).(i)) 0.0 operands in
-                clamp01 (s -. float_of_int (k - 1)))
-          in
-          let upper =
-            Array.init n_grid (fun i ->
-                Array.fold_left (fun acc band -> Float.min acc (snd band).(i)) 1.0 operands)
-          in
-          (shift lower, shift upper)
-        | Circuit.Input | Circuit.Dff_output _ -> assert false
-    end)
+  (* Frechet combination of the operand cdf bands, then the delay
+     shift: a pure function of the operand slots, so the engine's
+     parallel schedule is bit-identical to the sequential sweep *)
+  let eval _circuit _g driver operands =
+    match driver with
+    | Circuit.Gate _ ->
+      let k = Array.length operands in
+      let lower =
+        Array.init n_grid (fun i ->
+            let s = Array.fold_left (fun acc band -> acc +. (fst band).(i)) 0.0 operands in
+            clamp01 (s -. float_of_int (k - 1)))
+      in
+      let upper =
+        Array.init n_grid (fun i ->
+            Array.fold_left (fun acc band -> Float.min acc (snd band).(i)) 1.0 operands)
+      in
+      (shift lower, shift upper)
+    | Circuit.Input | Circuit.Dff_output _ -> assert false
   in
-  let dom =
-    if Propagate.Sanitize.resolve check then
-      Propagate.Sanitize.wrap ~circuit ~check:band_check dom
-    else dom
-  in
-  let module E = Propagate.Make ((val dom)) in
-  { grid; bands = E.run ?domains circuit }
+  let check = if Propagate.Sanitize.resolve check then Some band_check else None in
+  let source _ = (source_cdf, source_cdf) in
+  { grid; bands = Propagate.run ?check ?domains circuit ~source ~eval }
 
 let band r id =
   let lower, upper = r.bands.Propagate.per_net.(id) in

@@ -20,7 +20,7 @@
     arrays spanning the whole time grid, whose length is chosen at
     analyze time from [dt]/[horizon] — not a small fixed tuple of
     floats that could live in per-moment [floatarray] slots.  It rides
-    the generic record engine ({!Spsta_engine.Propagate.Make}), where
+    the generic record engine ({!Spsta_engine.Propagate.run}), where
     array-valued states are natural. *)
 
 type band = {
@@ -51,8 +51,8 @@ val analyze :
     [check] (default: {!Spsta_engine.Propagate.Sanitize.enabled_by_env})
     verifies both tabulated cdf bounds stay monotone probabilities and
     the Frechet band never inverts, raising
-    {!Spsta_engine.Propagate.Sanitize.Violation} otherwise; when off no
-    wrapper is installed. *)
+    {!Spsta_engine.Propagate.Sanitize.Violation} otherwise; when off
+    nothing is checked. *)
 
 val band : result -> Spsta_netlist.Circuit.id -> band
 

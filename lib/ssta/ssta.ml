@@ -8,13 +8,14 @@ module Clark = Spsta_dist.Clark
 type arrival = { rise : Normal.t; fall : Normal.t }
 
 (* The flat struct-of-arrays kernel (per-net moments in float arrays,
-   allocation-free sweeps) computes the analysis; the original record
-   engine over [Propagate.Make] stays as the test oracle ([`Record] on
-   the [engine] selector).  They are bit-identical by construction (the
-   flat folds replay the record operation order exactly; the test suite
-   asserts Int64-level equality across engines and domain counts), so
-   the representation is free to follow whichever engine produced it and
-   [arrival] records materialize only at this API boundary. *)
+   allocation-free sweeps) computes the analysis; the record engine
+   ([Propagate.run]) stays as the test oracle ([`Record] on
+   [analyze_rf]'s [engine] selector).  They are bit-identical by
+   construction (the flat folds replay the record operation order
+   exactly; the test suite asserts Int64-level equality across engines
+   and domain counts), so the representation is free to follow whichever
+   engine produced it and [arrival] records materialize only at this API
+   boundary. *)
 type result = Flat_r of Flat.Ssta.state | Boxed of arrival Propagate.result
 
 let default_input = { rise = Normal.standard; fall = Normal.standard }
@@ -64,30 +65,14 @@ let arrival_check : arrival Propagate.Sanitize.check =
   first
     (check_normal ~what:"rise arrival" a.rise @ check_normal ~what:"fall arrival" a.fall)
 
-let domain ~source ~delay_rf_of : (module Propagate.DOMAIN with type state = arrival) =
-  (module struct
-    type state = arrival
-
-    let source = source
-    let eval = gate_eval ~delay_rf_of
-  end)
-
-let checked_domain ?check circuit dom =
-  if Propagate.Sanitize.resolve check then
-    Propagate.Sanitize.wrap ~circuit ~check:arrival_check dom
-  else dom
-
 (* --- record engine ------------------------------------------------- *)
 
-let run_record ~delay_rf_of ~source ?check ?domains circuit =
-  let module D = (val checked_domain ?check circuit (domain ~source ~delay_rf_of)) in
-  let module E = Propagate.Make (D) in
-  Boxed (E.run ?domains circuit)
+let record_check check = if Propagate.Sanitize.resolve check then Some arrival_check else None
 
-let update_record ~delay_rf_of ~source ?check r ~changed =
-  let module D = (val checked_domain ?check r.Propagate.circuit (domain ~source ~delay_rf_of)) in
-  let module E = Propagate.Make (D) in
-  E.update r ~changed
+(* (rise, fall) delays as the deterministic normals [gate_eval] sums *)
+let record_delay delay_rf g =
+  let rise, fall = delay_rf g in
+  (Normal.make ~mu:rise ~sigma:0.0, Normal.make ~mu:fall ~sigma:0.0)
 
 (* --- flat engine --------------------------------------------------- *)
 
@@ -139,28 +124,17 @@ let run_flat ~delay ~source ?check ?domains circuit =
 
 (* --- entry points -------------------------------------------------- *)
 
-let analyze ?(gate_delay = 1.0) ?input_arrival ?input_arrival_of ?check ?domains
-    ?(engine = `Flat) circuit =
+let analyze ?(gate_delay = 1.0) ?input_arrival ?input_arrival_of ?check ?domains circuit =
   let input_arrival = Option.value input_arrival ~default:default_input in
-  let source = source_of ~input_arrival ~input_arrival_of in
-  match engine with
-  | `Flat -> run_flat ~delay:(flat_delay_uniform gate_delay) ~source ?check ?domains circuit
-  | `Record ->
-    let delay = Normal.make ~mu:gate_delay ~sigma:0.0 in
-    run_record ~delay_rf_of:(fun _ -> (delay, delay)) ~source ?check ?domains circuit
+  run_flat ~delay:(flat_delay_uniform gate_delay)
+    ~source:(source_of ~input_arrival ~input_arrival_of)
+    ?check ?domains circuit
 
-let analyze_variational ~gate_delay ?input_arrival ?input_arrival_of ?check ?domains
-    ?(engine = `Flat) circuit =
+let analyze_variational ~gate_delay ?input_arrival ?input_arrival_of ?check ?domains circuit =
   let input_arrival = Option.value input_arrival ~default:default_input in
-  let source = source_of ~input_arrival ~input_arrival_of in
-  match engine with
-  | `Flat -> run_flat ~delay:(flat_delay_variational gate_delay) ~source ?check ?domains circuit
-  | `Record ->
-    run_record
-      ~delay_rf_of:(fun g ->
-        let d = gate_delay g in
-        (d, d))
-      ~source ?check ?domains circuit
+  run_flat ~delay:(flat_delay_variational gate_delay)
+    ~source:(source_of ~input_arrival ~input_arrival_of)
+    ?check ?domains circuit
 
 let analyze_rf ~delay_rf ?input_arrival ?input_arrival_of ?check ?domains ?(engine = `Flat)
     circuit =
@@ -169,12 +143,9 @@ let analyze_rf ~delay_rf ?input_arrival ?input_arrival_of ?check ?domains ?(engi
   match engine with
   | `Flat -> run_flat ~delay:(flat_delay_rf delay_rf) ~source ?check ?domains circuit
   | `Record ->
-    let to_normal d = Normal.make ~mu:d ~sigma:0.0 in
-    run_record
-      ~delay_rf_of:(fun g ->
-        let rise, fall = delay_rf g in
-        (to_normal rise, to_normal fall))
-      ~source ?check ?domains circuit
+    Boxed
+      (Propagate.run ?check:(record_check check) ?domains circuit ~source
+         ~eval:(gate_eval ~delay_rf_of:(record_delay delay_rf)))
 
 (* Updates refine the result in place on whichever engine produced it,
    so a record-engine oracle stays on the record engine through a whole
@@ -188,7 +159,9 @@ let update ?(gate_delay = 1.0) ?(input_arrival = default_input) ?input_arrival_o
       ?check:(flat_check check) st ~changed
   | Boxed br ->
     let delay = Normal.make ~mu:gate_delay ~sigma:0.0 in
-    update_record ~delay_rf_of:(fun _ -> (delay, delay)) ~source ?check br ~changed
+    Propagate.update ?check:(record_check check) br ~source
+      ~eval:(gate_eval ~delay_rf_of:(fun _ -> (delay, delay)))
+      ~changed
 
 let update_rf ~delay_rf ?(input_arrival = default_input) ?input_arrival_of ?check r ~changed =
   let source = source_of ~input_arrival ~input_arrival_of in
@@ -197,12 +170,9 @@ let update_rf ~delay_rf ?(input_arrival = default_input) ?input_arrival_of ?chec
     Flat.Ssta.update ~source:(flat_source source) ~delay:(flat_delay_rf delay_rf)
       ?check:(flat_check check) st ~changed
   | Boxed br ->
-    let to_normal d = Normal.make ~mu:d ~sigma:0.0 in
-    update_record
-      ~delay_rf_of:(fun g ->
-        let rise, fall = delay_rf g in
-        (to_normal rise, to_normal fall))
-      ~source ?check br ~changed
+    Propagate.update ?check:(record_check check) br ~source
+      ~eval:(gate_eval ~delay_rf_of:(record_delay delay_rf))
+      ~changed
 
 let copy = function
   | Flat_r st -> Flat_r (Flat.Ssta.copy st)

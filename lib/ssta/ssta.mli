@@ -10,8 +10,9 @@
     criticises.
 
     Sweeps and in-place incremental updates run on the flat kernel
-    {!Spsta_engine.Flat.Ssta}; the record engine over
-    {!Spsta_engine.Propagate} is kept only as the test oracle. *)
+    {!Spsta_engine.Flat.Ssta}; the record engine
+    ({!Spsta_engine.Propagate.run}) is kept only as the test oracle,
+    behind {!analyze_rf}'s [engine]. *)
 
 type arrival = { rise : Spsta_dist.Normal.t; fall : Spsta_dist.Normal.t }
 
@@ -23,23 +24,14 @@ val analyze :
   ?input_arrival_of:(Spsta_netlist.Circuit.id -> arrival) ->
   ?check:bool ->
   ?domains:int ->
-  ?engine:[ `Flat | `Record ] ->
   Spsta_netlist.Circuit.t ->
   result
 (** [input_arrival] defaults to standard normal for both directions (the
     paper's source statistics); [input_arrival_of] overrides it per
     source net.  [gate_delay] is deterministic and defaults to 1.0.
-
-    [engine] selects the test oracle and nothing else.  The default
-    [`Flat] is the one runtime engine: the allocation-free
-    struct-of-arrays kernel ({!Spsta_engine.Flat.Ssta} — per-net
-    moments in flat float arrays, records materialized only at this
-    module's API).  [`Record] is the boxed-record engine over
-    {!Spsta_engine.Propagate.Make} that differential tests and the
-    benchmark's output checks compare it against; the two are
-    bit-identical (IEEE-exact, asserted in the test suite at every
-    domain count).  {!update}/{!update_rf} stay on the engine that
-    produced their input result.
+    The sweep runs on the allocation-free struct-of-arrays kernel
+    {!Spsta_engine.Flat.Ssta} (per-net moments in flat float arrays,
+    records materialized only at this module's API).
 
     [domains] (default 1) evaluates each logic level's gates across that
     many OCaml domains; results are bit-identical to the sequential
@@ -50,8 +42,7 @@ val analyze :
     verifies every propagated arrival pair stays finite with
     non-negative sigmas, raising
     {!Spsta_engine.Propagate.Sanitize.Violation} naming the circuit,
-    net, gate kind and level otherwise; when off no wrapper is
-    installed. *)
+    net, gate kind and level otherwise; when off nothing is checked. *)
 
 val analyze_variational :
   gate_delay:(Spsta_netlist.Circuit.id -> Spsta_dist.Normal.t) ->
@@ -59,7 +50,6 @@ val analyze_variational :
   ?input_arrival_of:(Spsta_netlist.Circuit.id -> arrival) ->
   ?check:bool ->
   ?domains:int ->
-  ?engine:[ `Flat | `Record ] ->
   Spsta_netlist.Circuit.t ->
   result
 (** Same propagation with an independent normal delay per gate — used by
@@ -75,7 +65,15 @@ val analyze_rf :
   Spsta_netlist.Circuit.t ->
   result
 (** Deterministic but direction-dependent (rise, fall) delays per gate —
-    for cell-library timing ({!Spsta_netlist.Cell_library}). *)
+    for cell-library timing ({!Spsta_netlist.Cell_library}).
+
+    [engine] selects the test oracle and nothing else.  The default
+    [`Flat] is the runtime engine, as in {!analyze}.  [`Record] is the
+    boxed-record engine ({!Spsta_engine.Propagate.run}) that
+    differential tests and the benchmark's output checks compare it
+    against; the two are bit-identical (IEEE-exact, asserted in the test
+    suite at every domain count).  {!update}/{!update_rf} stay on the
+    engine that produced their input result. *)
 
 val update :
   ?gate_delay:float ->

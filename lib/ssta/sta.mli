@@ -3,8 +3,8 @@
     "two dotted lines" of the paper's Fig. 1.
 
     Sweeps and in-place incremental updates run on the flat kernel
-    {!Spsta_engine.Flat.Sta}; the record engine over
-    {!Spsta_engine.Propagate} is kept only as the test oracle. *)
+    {!Spsta_engine.Flat.Sta}; the test suite keeps a record-engine
+    oracle ({!Spsta_engine.Propagate.run}) to compare it against. *)
 
 type bounds = { earliest : float; latest : float }
 
@@ -17,18 +17,11 @@ val analyze :
   ?input_bounds_of:(Spsta_netlist.Circuit.id -> bounds) ->
   ?check:bool ->
   ?domains:int ->
-  ?engine:[ `Flat | `Record ] ->
   Spsta_netlist.Circuit.t ->
   result
 (** [gate_delay_of] overrides [gate_delay] (default 1.0) per gate-output
     net — e.g. sized-cell mean delays from
     {!Spsta_netlist.Sized_library}.
-
-    [engine] selects the test oracle only: [`Flat] (default) is the
-    runtime engine, the struct-of-arrays kernel {!Spsta_engine.Flat.Sta};
-    [`Record] is the boxed engine tests compare it against.  Results
-    are bit-identical, see {!Spsta_ssta.Ssta}.  {!update} stays on the
-    engine that produced its input result.
 
     [input_bounds] defaults to {earliest = 0.; latest = 0.}; the paper's
     N(0,1) inputs are commonly bounded at +-3 sigma, i.e.
@@ -43,7 +36,7 @@ val analyze :
     [check] (default: {!Spsta_engine.Propagate.Sanitize.enabled_by_env})
     verifies every propagated window stays a finite, ordered interval,
     raising {!Spsta_engine.Propagate.Sanitize.Violation} otherwise;
-    when off no wrapper is installed. *)
+    when off nothing is checked. *)
 
 val update :
   ?gate_delay:float ->

@@ -54,35 +54,23 @@ let analyze ?(input_sigma = 1.0) ?check ?domains model placement circuit =
     let s = Canonical.make ~mean:0.0 ~sens:(Array.make nparams 0.0) ~rand:input_sigma in
     { rise = s; fall = s }
   in
-  let dom : (module Propagate.DOMAIN with type state = arrival) =
-    (module struct
-      type state = arrival
-
-      let source _ = source_arrival
-
-      (* pure in its operands ([gate_delay_canonical] allocates a fresh
-         sensitivity vector per call and only reads the model), so the
-         engine's parallel schedule is bit-identical to the sequential
-         sweep *)
-      let eval _circuit g driver operands =
-        match driver with
-        | Circuit.Gate { kind; _ } ->
-          let base_rise, base_fall = base_arrivals kind (Array.to_list operands) in
-          let rise0, fall0 =
-            if Gate_kind.inverting kind then (base_fall, base_rise) else (base_rise, base_fall)
-          in
-          let delay = Param_model.gate_delay_canonical model placement g in
-          { rise = Canonical.add rise0 delay; fall = Canonical.add fall0 delay }
-        | Circuit.Input | Circuit.Dff_output _ -> assert false
-    end)
+  (* pure in its operands ([gate_delay_canonical] allocates a fresh
+     sensitivity vector per call and only reads the model), so the
+     engine's parallel schedule is bit-identical to the sequential
+     sweep *)
+  let eval _circuit g driver operands =
+    match driver with
+    | Circuit.Gate { kind; _ } ->
+      let base_rise, base_fall = base_arrivals kind (Array.to_list operands) in
+      let rise0, fall0 =
+        if Gate_kind.inverting kind then (base_fall, base_rise) else (base_rise, base_fall)
+      in
+      let delay = Param_model.gate_delay_canonical model placement g in
+      { rise = Canonical.add rise0 delay; fall = Canonical.add fall0 delay }
+    | Circuit.Input | Circuit.Dff_output _ -> assert false
   in
-  let dom =
-    if Propagate.Sanitize.resolve check then
-      Propagate.Sanitize.wrap ~circuit ~check:arrival_check dom
-    else dom
-  in
-  let module E = Propagate.Make ((val dom)) in
-  E.run ?domains circuit
+  let check = if Propagate.Sanitize.resolve check then Some arrival_check else None in
+  Propagate.run ?check ?domains circuit ~source:(fun _ -> source_arrival) ~eval
 
 let arrival (r : result) id = r.Propagate.per_net.(id)
 

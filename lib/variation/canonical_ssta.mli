@@ -29,8 +29,8 @@ val analyze :
     [check] (default: {!Spsta_engine.Propagate.Sanitize.enabled_by_env})
     verifies every canonical form keeps a finite mean, finite
     sensitivities and a non-negative independent sigma, raising
-    {!Spsta_engine.Propagate.Sanitize.Violation} otherwise; when off no
-    wrapper is installed. *)
+    {!Spsta_engine.Propagate.Sanitize.Violation} otherwise; when off
+    nothing is checked. *)
 
 val arrival : result -> Spsta_netlist.Circuit.id -> arrival
 

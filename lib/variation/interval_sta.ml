@@ -59,40 +59,25 @@ let analyze ?(gate_delay = 1.0) ?(delay_radius = 0.0) ?(input_radius = 3.0) ?che
   if delay_radius < 0.0 || input_radius < 0.0 then
     invalid_arg "Interval_sta.analyze: negative radius";
   let base = symbol_bases circuit in
-  let dom : (module Propagate.DOMAIN with type state = state) =
-    (module struct
-      type nonrec state = state
-
-      let source s =
-        let ctx = Affine.create_context ~first:base.(s) () in
-        { affine = Affine.make ctx ~center:0.0 ~radius:input_radius;
-          naive = (-.input_radius, input_radius) }
-
-      let eval _circuit g driver operands =
-        match driver with
-        | Circuit.Gate _ ->
-          let ctx = Affine.create_context ~first:base.(g) () in
-          let affines = List.map (fun s -> s.affine) (Array.to_list operands) in
-          let delay = Affine.make ctx ~center:gate_delay ~radius:delay_radius in
-          let affine = Affine.add (Affine.join_max_many ctx affines) delay in
-          let lo =
-            Array.fold_left (fun acc s -> Float.max acc (fst s.naive)) neg_infinity operands
-          in
-          let hi =
-            Array.fold_left (fun acc s -> Float.max acc (snd s.naive)) neg_infinity operands
-          in
-          { affine;
-            naive = (lo +. gate_delay -. delay_radius, hi +. gate_delay +. delay_radius) }
-        | Circuit.Input | Circuit.Dff_output _ -> assert false
-    end)
+  let source s =
+    let ctx = Affine.create_context ~first:base.(s) () in
+    { affine = Affine.make ctx ~center:0.0 ~radius:input_radius;
+      naive = (-.input_radius, input_radius) }
   in
-  let dom =
-    if Propagate.Sanitize.resolve check then
-      Propagate.Sanitize.wrap ~circuit ~check:state_check dom
-    else dom
+  let eval _circuit g driver operands =
+    match driver with
+    | Circuit.Gate _ ->
+      let ctx = Affine.create_context ~first:base.(g) () in
+      let affines = List.map (fun s -> s.affine) (Array.to_list operands) in
+      let delay = Affine.make ctx ~center:gate_delay ~radius:delay_radius in
+      let affine = Affine.add (Affine.join_max_many ctx affines) delay in
+      let lo = Array.fold_left (fun acc s -> Float.max acc (fst s.naive)) neg_infinity operands in
+      let hi = Array.fold_left (fun acc s -> Float.max acc (snd s.naive)) neg_infinity operands in
+      { affine; naive = (lo +. gate_delay -. delay_radius, hi +. gate_delay +. delay_radius) }
+    | Circuit.Input | Circuit.Dff_output _ -> assert false
   in
-  let module E = Propagate.Make ((val dom)) in
-  E.run ?domains circuit
+  let check = if Propagate.Sanitize.resolve check then Some state_check else None in
+  Propagate.run ?check ?domains circuit ~source ~eval
 
 let arrival (r : result) id = r.Propagate.per_net.(id).affine
 

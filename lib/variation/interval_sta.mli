@@ -34,8 +34,8 @@ val analyze :
     [check] (default: {!Spsta_engine.Propagate.Sanitize.enabled_by_env})
     verifies both enclosures stay finite ordered intervals and always
     intersect (each is guaranteed to contain the true arrival), raising
-    {!Spsta_engine.Propagate.Sanitize.Violation} otherwise; when off no
-    wrapper is installed. *)
+    {!Spsta_engine.Propagate.Sanitize.Violation} otherwise; when off
+    nothing is checked. *)
 
 val arrival : result -> Spsta_netlist.Circuit.id -> Affine.t
 

@@ -7,20 +7,14 @@ module Circuit = Spsta_netlist.Circuit
 module Propagate = Spsta_engine.Propagate
 
 (* levels as a propagation domain: source -> 0, gate -> 1 + max inputs *)
-module Levels = Propagate.Make (struct
-  type state = int
-
-  let source _ = 0
-
-  let eval _circuit _id _driver operands =
-    1 + Array.fold_left max 0 operands
-end)
+let levels_eval _circuit _id _driver operands = 1 + Array.fold_left max 0 operands
+let levels ?domains c = Propagate.run ?domains c ~source:(fun _ -> 0) ~eval:levels_eval
 
 let test_levels_domain () =
   let c = Spsta_experiments.Benchmarks.load "s386" in
   List.iter
     (fun domains ->
-      let r = Levels.run ~domains c in
+      let r = levels ~domains c in
       for i = 0 to Circuit.num_nets c - 1 do
         Alcotest.(check int)
           (Printf.sprintf "level of %s at domains=%d" (Circuit.net_name c i) domains)
@@ -31,22 +25,17 @@ let test_levels_domain () =
 let test_domains_validated () =
   let c = Spsta_experiments.Benchmarks.s27 () in
   Alcotest.check_raises "domains = 0" (Invalid_argument "Parallel: domains must be positive")
-    (fun () -> ignore (Levels.run ~domains:0 c))
+    (fun () -> ignore (levels ~domains:0 c))
 
 let test_update_touches_only_the_cone () =
   let c = Spsta_experiments.Benchmarks.load "s386" in
-  (* a counting domain: same states as Levels, but tallies evals *)
+  (* a counting domain: same states as [levels], but tallies evals *)
   let evals = ref 0 in
-  let module Counting = Propagate.Make (struct
-    type state = int
-
-    let source _ = 0
-
-    let eval _circuit _id _driver operands =
-      incr evals;
-      1 + Array.fold_left max 0 operands
-  end) in
-  let base = Counting.run c in
+  let eval circuit id driver operands =
+    incr evals;
+    levels_eval circuit id driver operands
+  in
+  let base = Propagate.run c ~source:(fun _ -> 0) ~eval in
   Alcotest.(check int) "full run evaluates every gate" (Circuit.gate_count c) !evals;
   let changed = List.hd (Circuit.primary_inputs c) in
   (* expected dirty-gate count from independent fanout marking; like the
@@ -72,7 +61,7 @@ let test_update_touches_only_the_cone () =
   evals := 0;
   (* the update refines [base] in place: compare against a snapshot *)
   let before = Array.copy base.Propagate.per_net in
-  Counting.update base ~changed:[ changed ];
+  Propagate.update base ~source:(fun _ -> 0) ~eval ~changed:[ changed ];
   Alcotest.(check int) "update evaluates only the cone" dirty_gates !evals;
   Alcotest.(check (array int)) "update preserves values" before base.Propagate.per_net
 
@@ -102,10 +91,10 @@ let wide_then_narrow () =
 
 let test_pooled_wide_and_fused_narrow () =
   let c = wide_then_narrow () in
-  let seq = Levels.run c in
+  let seq = levels c in
   List.iter
     (fun domains ->
-      let par = Levels.run ~domains c in
+      let par = levels ~domains c in
       Alcotest.(check (array int))
         (Printf.sprintf "pooled sweep identical at domains=%d" domains)
         seq.Propagate.per_net par.Propagate.per_net;
@@ -120,16 +109,11 @@ let test_pooled_wide_and_fused_narrow () =
 let test_update_union_of_two_cones () =
   let c = Spsta_experiments.Benchmarks.load "s386" in
   let evals = ref 0 in
-  let module Counting = Propagate.Make (struct
-    type state = int
-
-    let source _ = 0
-
-    let eval _circuit _id _driver operands =
-      incr evals;
-      1 + Array.fold_left max 0 operands
-  end) in
-  let base = Counting.run c in
+  let eval circuit id driver operands =
+    incr evals;
+    levels_eval circuit id driver operands
+  in
+  let base = Propagate.run c ~source:(fun _ -> 0) ~eval in
   let roots =
     match Circuit.primary_inputs c with a :: b :: _ -> [ a; b ] | _ -> assert false
   in
@@ -153,7 +137,7 @@ let test_update_union_of_two_cones () =
   in
   evals := 0;
   let before = Array.copy base.Propagate.per_net in
-  Counting.update base ~changed:roots;
+  Propagate.update base ~source:(fun _ -> 0) ~eval ~changed:roots;
   Alcotest.(check int) "update evaluates the union cone once" dirty_gates !evals;
   Alcotest.(check (array int)) "update preserves values" before base.Propagate.per_net
 
@@ -163,7 +147,7 @@ let test_empty_circuit () =
   Circuit.Builder.add_input b "a";
   Circuit.Builder.add_output b "a";
   let c = Circuit.Builder.finalize b in
-  let r = Levels.run c in
+  let r = levels c in
   Alcotest.(check (array int)) "single seeded source" [| 0 |] r.Propagate.per_net
 
 let suite =

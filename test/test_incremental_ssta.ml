@@ -84,7 +84,7 @@ let test_ssta_clean_cone_shared () =
       Alcotest.(check bool) "clean arrival bitwise unchanged" true
         (arrival_bits_equal a (Ssta.arrival base g)))
     clean before;
-  let base = Ssta.analyze ~engine:`Record c in
+  let base = Ssta.analyze_rf ~engine:`Record ~delay_rf:(fun _ -> (1.0, 1.0)) c in
   let before = List.map (Ssta.arrival base) clean in
   Ssta.update base ~input_arrival_of:arrival_of ~changed:[ changed ];
   List.iter2
@@ -104,7 +104,7 @@ let test_ssta_update_on_copy () =
   let full = Ssta.analyze ~input_arrival_of:arrival_of c in
   List.iter
     (fun engine ->
-      let base = Ssta.analyze ~engine c in
+      let base = Ssta.analyze_rf ~engine ~delay_rf:(fun _ -> (1.0, 1.0)) c in
       let before = Array.init (Circuit.num_nets c) (Ssta.arrival base) in
       let trial = Ssta.copy base in
       Ssta.update trial ~input_arrival_of:arrival_of ~changed:[ changed ];
@@ -189,13 +189,13 @@ let test_sta_clean_cone_shared () =
       Alcotest.(check bool) "clean bounds bitwise unchanged" true
         (bits_equal a.Sta.earliest b.Sta.earliest && bits_equal a.Sta.latest b.Sta.latest))
     clean before;
-  let base = Sta.analyze ~engine:`Record c in
-  let before = List.map (Sta.bounds base) clean in
-  Sta.update base ~input_bounds_of:bounds_of ~changed:[ changed ];
+  let base = Sta_oracle.analyze c in
+  let before = List.map (Sta_oracle.bounds base) clean in
+  Sta_oracle.update base ~input_bounds_of:bounds_of ~changed:[ changed ];
   List.iter2
     (fun g a ->
       Alcotest.(check bool) "clean bounds physically kept (record engine)" true
-        (a == Sta.bounds base g))
+        (a == Sta_oracle.bounds base g))
     clean before
 
 let test_sta_noop_update () =
