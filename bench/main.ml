@@ -619,7 +619,7 @@ let json_bench_circuit ~mc_runs ~domains name =
   in
   let t_mc_par, _, n_mc_par =
     wall_best (fun () ->
-        Monte_carlo.simulate_parallel ~runs:mc_runs ~engine:`Scalar ~domains ~seed circuit ~spec)
+        Monte_carlo.simulate ~runs:mc_runs ~engine:`Scalar ~domains ~seed circuit ~spec)
   in
   let t_mc_packed, mc_packed, n_mc_packed =
     wall_best (fun () -> Monte_carlo.simulate ~runs:mc_runs ~engine:`Packed ~seed circuit ~spec)

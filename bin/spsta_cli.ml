@@ -20,27 +20,32 @@
      list       - list suite circuits and experiments
      serve      - JSONL analysis/session service (stdin, Unix socket or TCP)
      batch      - execute a JSONL request file concurrently
-     session    - interactive timing-session client (scripts, ECO exercise, REPL) *)
+     session    - interactive timing-session client (scripts, ECO exercise, REPL)
+
+   The [analyze], [ssta], [mc], [size --json] and [static --json] reports
+   are rendered from the payload builders the server answers with
+   ({!Spsta_server.Engine}), so the CLI and the server cannot drift. *)
 
 open Cmdliner
 
 module Circuit = Spsta_netlist.Circuit
 module Bench_io = Spsta_netlist.Bench_io
 module Generator = Spsta_netlist.Generator
+module Cell_library = Spsta_netlist.Cell_library
+module Sized_library = Spsta_netlist.Sized_library
 module Input_spec = Spsta_sim.Input_spec
 module Monte_carlo = Spsta_sim.Monte_carlo
 module Analyzer = Spsta_core.Analyzer
-module Four_value = Spsta_core.Four_value
 module Experiments = Spsta_experiments
+module Workloads = Experiments.Workloads
+module Json = Spsta_server.Json
+module Engine = Spsta_server.Engine
+module Table = Spsta_util.Table
+
+(* Print "error: MSG" on stderr and exit 1. *)
+let die fmt = Printf.kfprintf (fun _ -> exit 1) stderr ("error: " ^^ fmt ^^ "\n")
 
 let load_circuit name_or_path =
-  let fail fmt =
-    Printf.ksprintf
-      (fun msg ->
-        Printf.eprintf "error: %s\n" msg;
-        exit 1)
-      fmt
-  in
   if Sys.file_exists name_or_path then
     try
       if Filename.check_suffix name_or_path ".v" then
@@ -48,29 +53,39 @@ let load_circuit name_or_path =
       else Bench_io.parse_file name_or_path
     with
     | Bench_io.Parse_error { line; message } ->
-      fail "%s:%d: %s" name_or_path line message
+      die "%s:%d: %s" name_or_path line message
     | Spsta_netlist.Verilog_io.Parse_error { line; message } ->
-      fail "%s:%d: %s" name_or_path line message
-    | Circuit.Invalid_circuit message -> fail "%s: invalid circuit: %s" name_or_path message
-    | Sys_error message -> fail "%s" message
+      die "%s:%d: %s" name_or_path line message
+    | Circuit.Invalid_circuit message -> die "%s: invalid circuit: %s" name_or_path message
+    | Sys_error message -> die "%s" message
   else
     try Experiments.Benchmarks.load name_or_path
-    with Not_found -> fail "%s is neither a file nor a suite circuit" name_or_path
+    with Not_found -> die "%s is neither a file nor a suite circuit" name_or_path
 
-let case_of_string = function
-  | "I" | "i" | "1" -> Experiments.Workloads.Case_i
-  | "II" | "ii" | "2" -> Experiments.Workloads.Case_ii
-  | s ->
-    Printf.eprintf "error: unknown input case %s (use I or II)\n" s;
-    exit 1
+(* ---------- shared terms ---------- *)
 
 let circuit_arg =
   let doc = "Circuit: a .bench file path or a suite name (e.g. s344)." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"CIRCUIT" ~doc)
 
+let circuit = Term.(const load_circuit $ circuit_arg)
+
+let circuits_arg =
+  let doc = "Circuits: .bench/.v file paths or suite names." in
+  Arg.(non_empty & pos_all string [] & info [] ~docv:"CIRCUIT" ~doc)
+
 let case_arg =
   let doc = "Input statistics case: I (p1=p0=pr=pf=0.25) or II (15/75/2/8%)." in
-  Arg.(value & opt string "I" & info [ "case" ] ~docv:"CASE" ~doc)
+  (* the help text shows the last name given for the default *)
+  let case =
+    Arg.enum
+      Workloads.
+        [ ("i", Case_i); ("1", Case_i); ("I", Case_i); ("ii", Case_ii); ("2", Case_ii);
+          ("II", Case_ii) ]
+  in
+  Arg.(value & opt case Workloads.Case_i & info [ "case" ] ~docv:"CASE" ~doc)
+
+let spec = Term.(const Workloads.spec_fn $ case_arg)
 
 let runs_arg =
   let doc = "Monte Carlo runs." in
@@ -80,18 +95,39 @@ let seed_arg =
   let doc = "PRNG seed (all analyses are deterministic given the seed)." in
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
 
-let top_arg =
-  let doc = "Show only the N most critical endpoints (0 = all nets)." in
-  Arg.(value & opt int 0 & info [ "top" ] ~docv:"N" ~doc)
+let top_arg ~default doc = Arg.(value & opt int default & info [ "top" ] ~docv:"N" ~doc)
 
-let domains_arg =
+let json_arg =
   let doc =
+    "Emit the report as JSON: one object, or for the multi-circuit subcommands an array \
+     of one object per circuit."
+  in
+  Arg.(value & flag & info [ "json" ] ~doc)
+
+let dt_arg =
+  let doc = "Grid step of the discretised (grid) t.o.p. backend." in
+  Arg.(value & opt float 0.1 & info [ "dt" ] ~docv:"DT" ~doc)
+
+(* 0 resolves to one domain per available core *)
+let domains_term names doc =
+  let resolve = function
+    | 0 -> Spsta_util.Parallel.default_domains ()
+    | d when d >= 1 -> d
+    | d -> die "--domains must be non-negative (got %d)" d
+  in
+  Term.(const resolve $ Arg.(value & opt int 1 & info names ~docv:"N" ~doc))
+
+let domains =
+  domains_term [ "domains" ]
     "Worker domains for the propagation (0 = one per available core).  Every analysis on \
      the levelized engine (SPSTA, SSTA, STA, bounds, canonical, interval) is bit-identical \
      at every domain count, and so is Monte Carlo: each trial draws from its own seeded \
      substream, so the domain count is purely a throughput knob."
-  in
-  Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
+
+let mc_domains =
+  domains_term [ "mc-domains"; "domains" ]
+    "Worker domains for the Monte Carlo trial chunks (0 = one per available core).  \
+     Results are bit-identical at every domain count."
 
 let mc_engine_arg =
   let doc =
@@ -101,14 +137,8 @@ let mc_engine_arg =
   let engine = Arg.enum [ ("packed", `Packed); ("scalar", `Scalar) ] in
   Arg.(value & opt engine `Packed & info [ "mc-engine" ] ~docv:"ENGINE" ~doc)
 
-let mc_domains_arg =
-  let doc =
-    "Worker domains for the Monte Carlo trial chunks (0 = one per available core).  \
-     Results are bit-identical at every domain count."
-  in
-  Arg.(value & opt int 1 & info [ "mc-domains"; "domains" ] ~docv:"N" ~doc)
-
-let check_arg =
+(* flag absent -> None: fall back to the SPSTA_CHECK environment toggle *)
+let check =
   let doc =
     "Install the per-gate invariant sanitizer: after every gate evaluation verify the \
      propagated state (finite moments, non-negative masses, conservation up to the \
@@ -116,73 +146,93 @@ let check_arg =
      kind and level on the first violation.  Also enabled by SPSTA_CHECK=1; without \
      either, nothing is checked; a checked run that passes gives bit-identical results."
   in
-  Arg.(value & flag & info [ "check" ] ~doc)
+  Term.(const (fun on -> if on then Some true else None) $ Arg.(value & flag & info [ "check" ] ~doc))
 
-(* flag absent -> None: fall back to the SPSTA_CHECK environment toggle *)
-let resolve_check flag = if flag then Some true else None
+(* The enum maps to names, not libraries: its help printer compares
+   values, and a library holds closures. *)
+let library ~default doc =
+  let names = Arg.enum [ ("unit", `Unit); ("default", `Default) ] in
+  let of_name = function `Unit -> Cell_library.unit_delay | `Default -> Cell_library.default in
+  Term.(const of_name $ Arg.(value & opt names default & info [ "lib" ] ~docv:"LIB" ~doc))
 
-let resolve_domains = function
-  | 0 -> Spsta_util.Parallel.default_domains ()
-  | d when d >= 1 -> d
-  | d ->
-    Printf.eprintf "error: --domains must be non-negative (got %d)\n" d;
-    exit 1
+(* A process-variation model with all three sigmas defaulting to [default]. *)
+let param_model ~default grid =
+  let sigma name doc = Arg.(value & opt float default & info [ name ] ~docv:"SIGMA" ~doc) in
+  let create sigma_global sigma_spatial sigma_random grid =
+    Spsta_variation.Param_model.create ~sigma_global ~sigma_spatial ~sigma_random ~grid ()
+  in
+  Term.(
+    const create
+    $ sigma "sigma-global" "Die-to-die delay sigma."
+    $ sigma "sigma-spatial" "Within-die spatially correlated sigma."
+    $ sigma "sigma-random" "Per-gate independent sigma."
+    $ grid)
 
 let print_header circuit =
   Format.printf "%a@." Circuit.pp_summary circuit
 
-let endpoint_ids circuit = Circuit.endpoints circuit
+let deepest_endpoint circuit =
+  List.fold_left
+    (fun best e -> if Circuit.level circuit e > Circuit.level circuit best then e else best)
+    (List.hd (Circuit.endpoints circuit))
+    (Circuit.endpoints circuit)
+
+let json_float json key =
+  match Json.member key json with Some (Json.Num n) -> n | _ -> nan
+
+(* ---------- endpoint reports ---------- *)
+
+(* One row per endpoint of a per-endpoint payload, one %.3f column per
+   (header, field) pair. *)
+let print_endpoints columns payload =
+  let table = Table.create ~headers:("endpoint" :: List.map fst columns) in
+  let row e =
+    let net = Option.value ~default:"" (Option.bind (Json.member "net" e) Json.to_string_opt) in
+    Table.add_row table
+      (net :: List.map (fun (_, field) -> Printf.sprintf "%.3f" (json_float e field)) columns)
+  in
+  List.iter row
+    (Option.value ~default:[] (Option.bind (Json.member "endpoints" payload) Json.to_list_opt));
+  print_endline (Table.render table)
+
+let transition_columns =
+  [ ("P(r)", "p_rise"); ("mu(r)", "mu_rise"); ("sigma(r)", "sigma_rise"); ("P(f)", "p_fall");
+    ("mu(f)", "mu_fall"); ("sigma(f)", "sigma_fall"); ("SP", "sp") ]
 
 let analyze_cmd =
-  let run name case_str domains check =
-    let circuit = load_circuit name in
-    let case = case_of_string case_str in
-    let spec = Experiments.Workloads.spec_fn case in
+  let run circuit case domains check =
     print_header circuit;
-    let result =
-      Analyzer.Moments.analyze ?check:(resolve_check check)
-        ~domains:(resolve_domains domains) circuit ~spec
-    in
-    let table =
-      Spsta_util.Table.create
-        ~headers:[ "endpoint"; "P(r)"; "mu(r)"; "sigma(r)"; "P(f)"; "mu(f)"; "sigma(f)"; "SP" ]
-    in
-    let add e =
-      let s = Analyzer.Moments.signal result e in
-      let rmu, rsig, rp = Analyzer.Moments.transition_stats s `Rise in
-      let fmu, fsig, fp = Analyzer.Moments.transition_stats s `Fall in
-      Spsta_util.Table.add_row table
-        [
-          Circuit.net_name circuit e;
-          Printf.sprintf "%.3f" rp;
-          Printf.sprintf "%.3f" rmu;
-          Printf.sprintf "%.3f" rsig;
-          Printf.sprintf "%.3f" fp;
-          Printf.sprintf "%.3f" fmu;
-          Printf.sprintf "%.3f" fsig;
-          Printf.sprintf "%.3f" (Four_value.signal_probability s.Analyzer.Moments.probs);
-        ]
-    in
-    List.iter add (endpoint_ids circuit);
-    print_endline (Spsta_util.Table.render table)
+    print_endpoints transition_columns
+      (Engine.analyze_payload ?check circuit ~case ~top:0 ~domains)
   in
   let info = Cmd.info "analyze" ~doc:"SPSTA endpoint timing statistics" in
-  Cmd.v info Term.(const run $ circuit_arg $ case_arg $ domains_arg $ check_arg)
+  Cmd.v info Term.(const run $ circuit $ case_arg $ domains $ check)
+
+let ssta_cmd =
+  let run circuit domains check =
+    print_header circuit;
+    print_endpoints
+      [ ("mu(r)", "mu_rise"); ("sigma(r)", "sigma_rise"); ("mu(f)", "mu_fall");
+        ("sigma(f)", "sigma_fall") ]
+      (Engine.ssta_payload ?check circuit ~top:0 ~domains)
+  in
+  let info = Cmd.info "ssta" ~doc:"Min/max-separated SSTA baseline" in
+  Cmd.v info Term.(const run $ circuit $ domains $ check)
+
+let mc_cmd =
+  let run circuit case runs seed domains engine =
+    print_header circuit;
+    print_endpoints transition_columns
+      (Engine.mc_payload circuit ~case ~runs ~seed ~top:0 ~engine ~domains)
+  in
+  let info = Cmd.info "mc" ~doc:"Monte Carlo reference simulation" in
+  Cmd.v info
+    Term.(const run $ circuit $ case_arg $ runs_arg $ seed_arg $ mc_domains $ mc_engine_arg)
 
 module Lint = Spsta_lint.Lint
 
 let lint_cmd =
-  let run names json strict case_str lib_name dt eps =
-    let case = case_of_string case_str in
-    let spec = Experiments.Workloads.spec_fn case in
-    let library =
-      match lib_name with
-      | "unit" -> Spsta_netlist.Cell_library.unit_delay
-      | "default" -> Spsta_netlist.Cell_library.default
-      | other ->
-        Printf.eprintf "error: unknown cell library %s (unit or default)\n" other;
-        exit 1
-    in
+  let run names json strict spec library dt eps =
     let grid = (dt, eps) in
     let lint_one name =
       if Sys.file_exists name then Lint.lint_path ~library ~spec ~grid name
@@ -221,25 +271,9 @@ let lint_cmd =
     in
     if code <> 0 then exit code
   in
-  let circuits_arg =
-    let doc = "Circuits to lint: .bench/.v file paths or suite names." in
-    Arg.(non_empty & pos_all string [] & info [] ~docv:"CIRCUIT" ~doc)
-  in
-  let json_arg =
-    let doc = "Emit findings as a JSON array (one object per circuit)." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
   let strict_arg =
     let doc = "Exit non-zero on Warning findings too." in
     Arg.(value & flag & info [ "strict" ] ~doc)
-  in
-  let lib_arg =
-    let doc = "Cell library whose delays are checked: unit or default." in
-    Arg.(value & opt string "unit" & info [ "lib" ] ~docv:"LIB" ~doc)
-  in
-  let dt_lint_arg =
-    let doc = "Grid step checked against the error-bound and sigma rules." in
-    Arg.(value & opt float 0.1 & info [ "dt" ] ~docv:"DT" ~doc)
   in
   let eps_lint_arg =
     let doc = "Grid truncation threshold checked against the error-bound rule." in
@@ -271,16 +305,13 @@ let lint_cmd =
   in
   Cmd.v info
     Term.(
-      const run $ circuits_arg $ json_arg $ strict_arg $ case_arg $ lib_arg $ dt_lint_arg
-      $ eps_lint_arg)
+      const run $ circuits_arg $ json_arg $ strict_arg $ spec
+      $ library ~default:`Unit "Cell library whose delays are checked: unit or default."
+      $ dt_arg $ eps_lint_arg)
 
 let check_cmd =
-  let run name case_str dt domains =
-    let circuit = load_circuit name in
-    let case = case_of_string case_str in
-    let spec = Experiments.Workloads.spec_fn case in
+  let run circuit spec dt domains =
     print_header circuit;
-    let domains = resolve_domains domains in
     let failures = ref 0 in
     let run_one label f =
       let t0 = Unix.gettimeofday () in
@@ -316,10 +347,6 @@ let check_cmd =
     end
     else print_endline "all analyses completed with zero sanitizer violations"
   in
-  let dt_arg =
-    let doc = "Grid step for the discrete-backend SPSTA pass." in
-    Arg.(value & opt float 0.1 & info [ "dt" ] ~docv:"DT" ~doc)
-  in
   let exits =
     Cmd.Exit.defaults @ [ Cmd.Exit.info ~doc:"on any sanitizer violation." 3 ]
   in
@@ -336,76 +363,10 @@ let check_cmd =
              analysis with the offending circuit, net, gate kind and level.";
         ]
   in
-  Cmd.v info Term.(const run $ circuit_arg $ case_arg $ dt_arg $ domains_arg)
-
-let ssta_cmd =
-  let run name domains check =
-    let circuit = load_circuit name in
-    print_header circuit;
-    let result =
-      Spsta_ssta.Ssta.analyze ?check:(resolve_check check)
-        ~domains:(resolve_domains domains) circuit
-    in
-    let table =
-      Spsta_util.Table.create ~headers:[ "endpoint"; "mu(r)"; "sigma(r)"; "mu(f)"; "sigma(f)" ]
-    in
-    let add e =
-      let a = Spsta_ssta.Ssta.arrival result e in
-      let open Spsta_dist.Normal in
-      Spsta_util.Table.add_row table
-        [
-          Circuit.net_name circuit e;
-          Printf.sprintf "%.3f" (mean a.Spsta_ssta.Ssta.rise);
-          Printf.sprintf "%.3f" (stddev a.Spsta_ssta.Ssta.rise);
-          Printf.sprintf "%.3f" (mean a.Spsta_ssta.Ssta.fall);
-          Printf.sprintf "%.3f" (stddev a.Spsta_ssta.Ssta.fall);
-        ]
-    in
-    List.iter add (endpoint_ids circuit);
-    print_endline (Spsta_util.Table.render table)
-  in
-  let info = Cmd.info "ssta" ~doc:"Min/max-separated SSTA baseline" in
-  Cmd.v info Term.(const run $ circuit_arg $ domains_arg $ check_arg)
-
-let mc_cmd =
-  let run name case_str runs seed domains engine =
-    let circuit = load_circuit name in
-    let case = case_of_string case_str in
-    let spec = Experiments.Workloads.spec_fn case in
-    print_header circuit;
-    let domains = resolve_domains domains in
-    let result = Monte_carlo.simulate ~runs ~seed ~engine ~domains circuit ~spec in
-    let table =
-      Spsta_util.Table.create
-        ~headers:[ "endpoint"; "P(r)"; "mu(r)"; "sigma(r)"; "P(f)"; "mu(f)"; "sigma(f)"; "SP" ]
-    in
-    let add e =
-      let s = Monte_carlo.stats result e in
-      Spsta_util.Table.add_row table
-        [
-          Circuit.net_name circuit e;
-          Printf.sprintf "%.3f" (Monte_carlo.p_rise s);
-          Printf.sprintf "%.3f" (Spsta_util.Stats.acc_mean s.Monte_carlo.rise_times);
-          Printf.sprintf "%.3f" (Spsta_util.Stats.acc_stddev s.Monte_carlo.rise_times);
-          Printf.sprintf "%.3f" (Monte_carlo.p_fall s);
-          Printf.sprintf "%.3f" (Spsta_util.Stats.acc_mean s.Monte_carlo.fall_times);
-          Printf.sprintf "%.3f" (Spsta_util.Stats.acc_stddev s.Monte_carlo.fall_times);
-          Printf.sprintf "%.3f" (Monte_carlo.signal_probability s);
-        ]
-    in
-    List.iter add (endpoint_ids circuit);
-    print_endline (Spsta_util.Table.render table)
-  in
-  let info = Cmd.info "mc" ~doc:"Monte Carlo reference simulation" in
-  Cmd.v info
-    Term.(const run $ circuit_arg $ case_arg $ runs_arg $ seed_arg $ mc_domains_arg
-          $ mc_engine_arg)
+  Cmd.v info Term.(const run $ circuit $ spec $ dt_arg $ domains)
 
 let power_cmd =
-  let run name case_str top =
-    let circuit = load_circuit name in
-    let case = case_of_string case_str in
-    let spec = Experiments.Workloads.spec_fn case in
+  let run circuit spec top =
     print_header circuit;
     let density = Spsta_power.Transition_density.of_input_specs circuit ~spec in
     let total_power =
@@ -428,13 +389,13 @@ let power_cmd =
     end
   in
   let info = Cmd.info "power" ~doc:"Transition density and dynamic power" in
-  Cmd.v info Term.(const run $ circuit_arg $ case_arg $ top_arg)
+  Cmd.v info
+    Term.(
+      const run $ circuit $ spec
+      $ top_arg ~default:0 "Also list the N nets with the highest dynamic power (0 = none).")
 
 let exact_prob_cmd =
-  let run name case_str =
-    let circuit = load_circuit name in
-    let case = case_of_string case_str in
-    let spec = Experiments.Workloads.spec_fn case in
+  let run circuit spec =
     print_header circuit;
     let exact = Spsta_core.Exact_prob.compute circuit ~spec in
     let approx =
@@ -459,15 +420,11 @@ let exact_prob_cmd =
       (Circuit.net_name circuit (fst !worst))
   in
   let info = Cmd.info "exact-prob" ~doc:"BDD-exact signal probabilities vs eq. 5" in
-  Cmd.v info Term.(const run $ circuit_arg $ case_arg)
+  Cmd.v info Term.(const run $ circuit $ spec)
 
 let paths_cmd =
-  let run name k sigma_global sigma_spatial sigma_random =
-    let circuit = load_circuit name in
+  let run circuit k model =
     print_header circuit;
-    let model =
-      Spsta_variation.Param_model.create ~sigma_global ~sigma_spatial ~sigma_random ~grid:4 ()
-    in
     let placement = Spsta_variation.Param_model.place model circuit in
     let paths = Spsta_paths.Path_enum.enumerate ~k circuit in
     let stats = Spsta_paths.Path_stats.analyze model placement circuit paths in
@@ -478,20 +435,12 @@ let paths_cmd =
     let doc = "Number of critical paths to enumerate." in
     Arg.(value & opt int 8 & info [ "k" ] ~docv:"K" ~doc)
   in
-  let sigma name default doc = Arg.(value & opt float default & info [ name ] ~docv:"SIGMA" ~doc) in
   let info = Cmd.info "paths" ~doc:"Critical paths with variational statistics" in
   Cmd.v info
-    Term.(
-      const run $ circuit_arg $ k_arg
-      $ sigma "sigma-global" 0.05 "Die-to-die delay sigma."
-      $ sigma "sigma-spatial" 0.05 "Within-die spatially correlated sigma."
-      $ sigma "sigma-random" 0.05 "Per-gate independent sigma.")
+    Term.(const run $ circuit $ k_arg $ param_model ~default:0.05 (const 4))
 
 let sequential_cmd =
-  let run name case_str cycles seed =
-    let circuit = load_circuit name in
-    let case = case_of_string case_str in
-    let pi_spec = Experiments.Workloads.spec_fn case in
+  let run circuit pi_spec cycles seed =
     print_header circuit;
     let fp = Spsta_core.Sequential.fixed_point circuit ~pi_spec in
     Printf.printf "fixed point: %s after %d iterations\n"
@@ -499,31 +448,28 @@ let sequential_cmd =
       (Spsta_core.Sequential.iterations fp);
     let sim = Spsta_sim.Sequential_sim.simulate ~cycles ~seed circuit ~pi_spec in
     let table =
-      Spsta_util.Table.create ~headers:[ "flip-flop"; "q (fixed point)"; "q (simulated)" ]
+      Table.create ~headers:[ "flip-flop"; "q (fixed point)"; "q (simulated)" ]
     in
     List.iter
       (fun (qnet, _) ->
         let predicted = Spsta_core.Sequential.ff_final_one fp qnet in
         let s = Spsta_sim.Sequential_sim.stats sim qnet in
         let observed = Monte_carlo.p_one s +. Monte_carlo.p_fall s in
-        Spsta_util.Table.add_row table
+        Table.add_row table
           [ Circuit.net_name circuit qnet; Printf.sprintf "%.4f" predicted;
             Printf.sprintf "%.4f" observed ])
       (Circuit.dffs circuit);
-    print_endline (Spsta_util.Table.render table)
+    print_endline (Table.render table)
   in
   let cycles_arg =
     let doc = "Measured simulation cycles." in
     Arg.(value & opt int 10_000 & info [ "cycles" ] ~docv:"N" ~doc)
   in
   let info = Cmd.info "sequential" ~doc:"Steady-state flip-flop statistics" in
-  Cmd.v info Term.(const run $ circuit_arg $ case_arg $ cycles_arg $ seed_arg)
+  Cmd.v info Term.(const run $ circuit $ spec $ cycles_arg $ seed_arg)
 
 let chip_delay_cmd =
-  let run name case_str top =
-    let circuit = load_circuit name in
-    let case = case_of_string case_str in
-    let spec = Experiments.Workloads.spec_fn case in
+  let run circuit spec top =
     print_header circuit;
     let r = Spsta_core.Chip_delay.compute circuit ~spec in
     Printf.printf "idle-cycle probability: %.4f\n" (Spsta_core.Chip_delay.p_idle r);
@@ -543,19 +489,17 @@ let chip_delay_cmd =
       crit
   in
   let info = Cmd.info "chip-delay" ~doc:"Chip-level delay distribution and yield" in
-  Cmd.v info Term.(const run $ circuit_arg $ case_arg $ top_arg)
+  Cmd.v info
+    Term.(
+      const run $ circuit $ spec
+      $ top_arg ~default:0 "Show only the N most critical endpoints (0 = all).")
 
 let variation_cmd =
-  let run name sigma_global sigma_spatial sigma_random grid domains check =
-    let circuit = load_circuit name in
+  let run circuit model domains check =
     print_header circuit;
-    let model =
-      Spsta_variation.Param_model.create ~sigma_global ~sigma_spatial ~sigma_random ~grid ()
-    in
     let placement = Spsta_variation.Param_model.place model circuit in
     let r =
-      Spsta_variation.Canonical_ssta.analyze ?check:(resolve_check check)
-        ~domains:(resolve_domains domains) model placement circuit
+      Spsta_variation.Canonical_ssta.analyze ?check ~domains model placement circuit
     in
     let chip = Spsta_variation.Canonical_ssta.chip_delay r in
     Printf.printf "canonical-form SSTA chip delay: mean %.3f, sigma %.3f\n"
@@ -581,23 +525,16 @@ let variation_cmd =
       Printf.printf "rise/fall critical endpoint correlation: %.3f\n"
         (Spsta_variation.Canonical_ssta.endpoint_correlation r `Rise e_rise e_fall)
   in
-  let sigma name default doc = Arg.(value & opt float default & info [ name ] ~docv:"SIGMA" ~doc) in
   let grid_arg =
     let doc = "Spatial-correlation grid dimension." in
     Arg.(value & opt int 4 & info [ "grid" ] ~docv:"G" ~doc)
   in
   let info = Cmd.info "variation" ~doc:"Canonical-form SSTA under process variation" in
   Cmd.v info
-    Term.(
-      const run $ circuit_arg
-      $ sigma "sigma-global" 0.1 "Die-to-die delay sigma."
-      $ sigma "sigma-spatial" 0.1 "Within-die spatially correlated sigma."
-      $ sigma "sigma-random" 0.1 "Per-gate independent sigma."
-      $ grid_arg $ domains_arg $ check_arg)
+    Term.(const run $ circuit $ param_model ~default:0.1 grid_arg $ domains $ check)
 
 let report_cmd =
-  let run name clock =
-    let circuit = load_circuit name in
+  let run circuit clock =
     print_header circuit;
     print_endline "structure:";
     List.iter
@@ -612,31 +549,18 @@ let report_cmd =
     Arg.(value & opt float 10.0 & info [ "clock" ] ~docv:"T" ~doc)
   in
   let info = Cmd.info "report" ~doc:"Structural and slack report" in
-  Cmd.v info Term.(const run $ circuit_arg $ clock_arg)
+  Cmd.v info Term.(const run $ circuit $ clock_arg)
 
 (* ---------- optimization workloads ---------- *)
 
-module Json = Spsta_server.Json
 module Criticality = Spsta_opt.Criticality
 module Sizer = Spsta_opt.Sizer
-module Sized_library = Spsta_netlist.Sized_library
-module Cell_library = Spsta_netlist.Cell_library
-
-let lib_of_name = function
-  | "unit" -> Cell_library.unit_delay
-  | "default" -> Cell_library.default
-  | other ->
-    Printf.eprintf "error: unknown cell library %s (unit or default)\n" other;
-    exit 1
 
 let criticality_cmd =
-  let run name domain case_str lib_name dt top json check =
-    let circuit = load_circuit name in
-    let check = resolve_check check in
+  let run circuit domain spec library dt top json check =
     let crit =
       match domain with
       | `Ssta ->
-        let library = lib_of_name lib_name in
         let result =
           Spsta_ssta.Ssta.analyze_rf ?check
             ~delay_rf:(fun id -> Cell_library.gate_delays library circuit id)
@@ -644,8 +568,6 @@ let criticality_cmd =
         in
         Criticality.of_ssta result
       | `Grid ->
-        let case = case_of_string case_str in
-        let spec = Experiments.Workloads.spec_fn case in
         let module B = (val Spsta_core.Top.discrete_backend ~dt ()) in
         let module A = Spsta_core.Analyzer.Make (B) in
         let result = A.analyze ?check circuit ~spec in
@@ -679,17 +601,15 @@ let criticality_cmd =
       Printf.printf "chip delay: mean %.3f, sigma %.3f, q99 %.3f\n"
         (Spsta_dist.Normal.mean chip) (Spsta_dist.Normal.stddev chip)
         (Criticality.quantile crit 0.99);
-      let table =
-        Spsta_util.Table.create ~headers:[ "gate"; "criticality"; "slack" ]
-      in
+      let table = Table.create ~headers:[ "gate"; "criticality"; "slack" ] in
       List.iter
         (fun (g, c) ->
-          Spsta_util.Table.add_row table
+          Table.add_row table
             [ Circuit.net_name circuit g;
               Printf.sprintf "%.4f" c;
               Printf.sprintf "%.3f" (Criticality.slack crit g) ])
         shown;
-      print_endline (Spsta_util.Table.render table)
+      print_endline (Table.render table)
     end
   in
   let domain_arg =
@@ -700,22 +620,6 @@ let criticality_cmd =
     in
     Arg.(value & opt (Arg.enum [ ("ssta", `Ssta); ("grid", `Grid) ]) `Ssta
          & info [ "domain" ] ~docv:"DOMAIN" ~doc)
-  in
-  let lib_arg =
-    let doc = "Cell library for the ssta domain: unit or default." in
-    Arg.(value & opt string "default" & info [ "lib" ] ~docv:"LIB" ~doc)
-  in
-  let dt_arg =
-    let doc = "Grid step for the grid domain." in
-    Arg.(value & opt float 0.1 & info [ "dt" ] ~docv:"DT" ~doc)
-  in
-  let top_arg =
-    let doc = "Show only the N most critical gates (0 = all)." in
-    Arg.(value & opt int 20 & info [ "top" ] ~docv:"N" ~doc)
-  in
-  let json_arg =
-    let doc = "Emit the report as a JSON object." in
-    Arg.(value & flag & info [ "json" ] ~doc)
   in
   let info =
     Cmd.info "criticality"
@@ -734,15 +638,18 @@ let criticality_cmd =
   in
   Cmd.v info
     Term.(
-      const run $ circuit_arg $ domain_arg $ case_arg $ lib_arg $ dt_arg $ top_arg
-      $ json_arg $ check_arg)
+      const run $ circuit $ domain_arg $ spec
+      $ library ~default:`Default "Cell library for the ssta domain: unit or default."
+      $ dt_arg
+      $ top_arg ~default:20 "Show only the N most critical gates (0 = all)."
+      $ json_arg $ check)
 
 module Static = Spsta_analysis.Static
 module Crit_bounds = Spsta_analysis.Crit_bounds
 module Reconvergence = Spsta_analysis.Reconvergence
 
 let static_cmd =
-  let run names pass_str lib_name p_source top json min_regions cross =
+  let run names pass_str library p_source top json min_regions cross =
     let passes =
       match String.trim pass_str with
       | "" | "all" -> Static.all_passes
@@ -753,19 +660,13 @@ let static_cmd =
         |> List.map (fun n ->
                match Static.pass_of_name n with
                | Some p -> p
-               | None ->
-                 Printf.eprintf
-                   "error: unknown pass %s (const, reconv, obs, crit or all)\n" n;
-                 exit 1)
+               | None -> die "unknown pass %s (const, reconv, obs, crit or all)" n)
     in
-    let library = lib_of_name lib_name in
     let p_source =
       match p_source with
       | None -> None
       | Some p when p >= 0.0 && p <= 1.0 -> Some (fun _ -> p)
-      | Some p ->
-        Printf.eprintf "error: --p-source %g outside [0,1]\n" p;
-        exit 1
+      | Some p -> die "--p-source %g outside [0,1]" p
     in
     let short = ref 0 in
     let analyse name =
@@ -775,20 +676,10 @@ let static_cmd =
           ~delay_bounds:(fun id -> Crit_bounds.bounds_of_library library circuit id)
           circuit
       in
-      let regions =
-        match t.Static.reconvergence with
-        | None -> []
-        | Some r -> Reconvergence.regions r
-      in
       ( match (min_regions, t.Static.reconvergence) with
       | n, Some r when n > 0 && Reconvergence.num_regions r < n -> incr short
       | _ -> () );
-      let widest =
-        List.stable_sort
-          (fun (a : Reconvergence.region) b ->
-            match compare b.width a.width with 0 -> compare a.stem b.stem | c -> c)
-          regions
-      in
+      let widest = Engine.widest_regions t in
       let shown = if top > 0 then List.filteri (fun i _ -> i < top) widest else widest in
       let checked =
         if cross then
@@ -801,15 +692,6 @@ let static_cmd =
     in
     let results = List.map analyse names in
     if json then begin
-      let region circuit (r : Reconvergence.region) =
-        Json.Obj
-          [ ("stem", Json.string (Circuit.net_name circuit r.stem));
-            ("merge", Json.string (Circuit.net_name circuit r.merge));
-            ("width", Json.int r.width);
-            ("depth", Json.int r.depth);
-            ( "gates",
-              match r.gates with Some n -> Json.int n | None -> Json.Null ) ]
-      in
       let one (name, circuit, t, shown, checked) =
         let base =
           [ ("circuit", Json.string name);
@@ -818,10 +700,8 @@ let static_cmd =
             ( "passes",
               Json.List
                 (List.map (fun p -> Json.string (Static.pass_name p)) passes) );
-            ( "facts",
-              Json.Obj
-                (List.map (fun (k, v) -> (k, Json.int v)) (Static.fact_counts t)) );
-            ("regions", Json.List (List.map (region circuit) shown)) ]
+            ("facts", Engine.fact_counts_json t);
+            ("regions", Json.List (List.map (Engine.region_json circuit) shown)) ]
         in
         let crit =
           match t.Static.criticality with
@@ -856,20 +736,17 @@ let static_cmd =
           | Some c -> Printf.printf "  %-22s %.3f\n" "t_lb" (Crit_bounds.t_lb c)
           | None -> () );
           if shown <> [] then begin
-            let table =
-              Spsta_util.Table.create
-                ~headers:[ "stem"; "merge"; "width"; "depth"; "gates" ]
-            in
+            let table = Table.create ~headers:[ "stem"; "merge"; "width"; "depth"; "gates" ] in
             List.iter
               (fun (r : Reconvergence.region) ->
-                Spsta_util.Table.add_row table
+                Table.add_row table
                   [ Circuit.net_name circuit r.stem;
                     Circuit.net_name circuit r.merge;
                     string_of_int r.width;
                     string_of_int r.depth;
                     (match r.gates with Some n -> string_of_int n | None -> ">cap") ])
               shown;
-            print_endline (Spsta_util.Table.render table)
+            print_endline (Table.render table)
           end;
           List.iter
             (fun (net, eq5, exact) ->
@@ -877,14 +754,7 @@ let static_cmd =
                 (Circuit.net_name circuit net) eq5 exact (abs_float (eq5 -. exact)))
             checked)
         results;
-    if !short > 0 then begin
-      Printf.eprintf "error: %d circuit(s) below --min-regions %d\n" !short min_regions;
-      exit 1
-    end
-  in
-  let circuits_arg =
-    let doc = "Circuits to analyse: .bench/.v file paths or suite names." in
-    Arg.(non_empty & pos_all string [] & info [] ~docv:"CIRCUIT" ~doc)
+    if !short > 0 then die "%d circuit(s) below --min-regions %d" !short min_regions
   in
   let pass_arg =
     let doc =
@@ -894,24 +764,12 @@ let static_cmd =
     in
     Arg.(value & opt string "all" & info [ "pass" ] ~docv:"PASSES" ~doc)
   in
-  let lib_arg =
-    let doc = "Cell library bounding the crit pass delays: unit or default." in
-    Arg.(value & opt string "unit" & info [ "lib" ] ~docv:"LIB" ~doc)
-  in
   let p_source_arg =
     let doc =
       "Pin every source to this one-probability (exact 0/1 seeds constant cones); \
        without it sources stay at the sound [0,1] interval."
     in
     Arg.(value & opt (some float) None & info [ "p-source" ] ~docv:"P" ~doc)
-  in
-  let top_arg =
-    let doc = "Show only the N widest reconvergent regions (0 = all)." in
-    Arg.(value & opt int 10 & info [ "top" ] ~docv:"N" ~doc)
-  in
-  let json_arg =
-    let doc = "Emit the reports as a JSON array (one object per circuit)." in
-    Arg.(value & flag & info [ "json" ] ~doc)
   in
   let min_regions_arg =
     let doc =
@@ -951,27 +809,18 @@ let static_cmd =
   in
   Cmd.v info
     Term.(
-      const run $ circuits_arg $ pass_arg $ lib_arg $ p_source_arg $ top_arg $ json_arg
-      $ min_regions_arg $ cross_arg)
+      const run $ circuits_arg $ pass_arg
+      $ library ~default:`Unit "Cell library bounding the crit pass delays: unit or default."
+      $ p_source_arg
+      $ top_arg ~default:10 "Show only the N widest reconvergent regions (0 = all)."
+      $ json_arg $ min_regions_arg $ cross_arg)
 
 let size_cmd =
-  let run name quantile target area_budget max_moves candidates threshold sizes ratio
+  let run circuit quantile target area_budget max_moves candidates threshold sizes ratio
       initial static_prune json check =
-    let circuit = load_circuit name in
     let sized =
       try Sized_library.family ~sizes ~ratio Cell_library.default
-      with Invalid_argument msg ->
-        Printf.eprintf "error: %s\n" msg;
-        exit 1
-    in
-    let initial =
-      match initial with
-      | "smallest" -> None
-      | "largest" ->
-        Some (Sized_library.uniform sized circuit ~size:(Sized_library.num_sizes sized - 1))
-      | other ->
-        Printf.eprintf "error: unknown initial assignment %s (smallest or largest)\n" other;
-        exit 1
+      with Invalid_argument msg -> die "%s" msg
     in
     let config =
       {
@@ -995,29 +844,12 @@ let size_cmd =
       else (0, None)
     in
     let report =
-      try Sizer.run ~config ?check:(resolve_check check) ?initial ?prune sized circuit
-      with Invalid_argument msg ->
-        Printf.eprintf "error: %s\n" msg;
-        exit 1
+      try
+        Sizer.run ~config ?check ?initial:(Engine.initial_sizes sized circuit initial) ?prune
+          sized circuit
+      with Invalid_argument msg -> die "%s" msg
     in
-    let dir = function `Up -> "up" | `Down -> "down" in
-    if json then begin
-      let move (m : Sizer.move) =
-        Json.Obj
-          [ ("net", Json.string (Circuit.net_name circuit m.Sizer.net));
-            ("direction", Json.string (dir m.Sizer.direction));
-            ("from_size", Json.int m.Sizer.from_size);
-            ("to_size", Json.int m.Sizer.to_size);
-            ("objective_after", Json.float m.Sizer.objective_after);
-            ("area_after", Json.float m.Sizer.area_after) ]
-      in
-      let curve points =
-        Json.List
-          (List.map
-             (fun (p, t) ->
-               Json.Obj [ ("yield", Json.float p); ("clock", Json.float t) ])
-             points)
-      in
+    if json then
       print_endline
         (Json.to_string
            (Json.Obj
@@ -1032,10 +864,9 @@ let size_cmd =
                 ("evaluations", Json.int report.Sizer.evaluations);
                 ("never_critical", Json.int never_critical);
                 ("pruned", Json.int report.Sizer.pruned);
-                ("moves", Json.List (List.map move report.Sizer.moves));
-                ("yield_before", curve report.Sizer.yield_before);
-                ("yield_after", curve report.Sizer.yield_after) ]))
-    end
+                ("moves", Json.List (List.map (Engine.move_json circuit) report.Sizer.moves));
+                ("yield_before", Engine.yield_curve_json report.Sizer.yield_before);
+                ("yield_after", Engine.yield_curve_json report.Sizer.yield_after) ]))
     else begin
       print_header circuit;
       Printf.printf "objective (q%.2g): %.4f -> %.4f%s\n" quantile
@@ -1054,7 +885,7 @@ let size_cmd =
       List.iter
         (fun (m : Sizer.move) ->
           Printf.printf "  %-4s %-12s %d -> %d  objective %.4f  area %.1f\n"
-            (dir m.Sizer.direction)
+            (Engine.direction_name m.Sizer.direction)
             (Circuit.net_name circuit m.Sizer.net)
             m.Sizer.from_size m.Sizer.to_size m.Sizer.objective_after m.Sizer.area_after)
         report.Sizer.moves
@@ -1097,7 +928,11 @@ let size_cmd =
       "Starting assignment: smallest (tightening run) or largest (power recovery: \
        phase B downsizes everything the target can spare)."
     in
-    Arg.(value & opt string "smallest" & info [ "initial" ] ~docv:"START" ~doc)
+    let initial =
+      Arg.enum
+        [ ("smallest", Spsta_server.Protocol.Smallest); ("largest", Spsta_server.Protocol.Largest) ]
+    in
+    Arg.(value & opt initial Spsta_server.Protocol.Smallest & info [ "initial" ] ~docv:"START" ~doc)
   in
   let static_prune_arg =
     let doc =
@@ -1106,10 +941,6 @@ let size_cmd =
        strength in the family; the skipped-candidate count is reported."
     in
     Arg.(value & flag & info [ "static-prune" ] ~doc)
-  in
-  let json_arg =
-    let doc = "Emit the full move/yield report as a JSON object." in
-    Arg.(value & flag & info [ "json" ] ~doc)
   in
   let info =
     Cmd.info "size"
@@ -1129,34 +960,22 @@ let size_cmd =
   in
   Cmd.v info
     Term.(
-      const run $ circuit_arg $ quantile_arg $ target_arg $ budget_arg $ moves_arg
+      const run $ circuit $ quantile_arg $ target_arg $ budget_arg $ moves_arg
       $ candidates_arg $ threshold_arg $ sizes_arg $ ratio_arg $ initial_arg
-      $ static_prune_arg $ json_arg $ check_arg)
+      $ static_prune_arg $ json_arg $ check)
 
 let waveform_cmd =
-  let run name net_name case_str check =
-    let circuit = load_circuit name in
-    let case = case_of_string case_str in
-    let spec = Experiments.Workloads.spec_fn case in
+  let run circuit net_name spec check =
     let net =
       match net_name with
       | Some n -> (
-        match Circuit.find circuit n with
-        | Some id -> id
-        | None ->
-          Printf.eprintf "error: no net named %s\n" n;
-          exit 1 )
-      | None ->
-        (* default: the deepest endpoint *)
-        List.fold_left
-          (fun best e -> if Circuit.level circuit e > Circuit.level circuit best then e else best)
-          (List.hd (Circuit.endpoints circuit))
-          (Circuit.endpoints circuit)
+        match Circuit.find circuit n with Some id -> id | None -> die "no net named %s" n )
+      | None -> deepest_endpoint circuit
     in
     print_header circuit;
     let module B = (val Spsta_core.Top.discrete_backend ~dt:0.1 ()) in
     let module A = Spsta_core.Analyzer.Make (B) in
-    let r = A.analyze ?check:(resolve_check check) circuit ~spec in
+    let r = A.analyze ?check circuit ~spec in
     let s = A.signal r net in
     Printf.printf "net %s: " (Circuit.net_name circuit net);
     Format.printf "%a@." Spsta_core.Four_value.pp s.A.probs;
@@ -1186,13 +1005,10 @@ let waveform_cmd =
     Arg.(value & pos 1 (some string) None & info [] ~docv:"NET" ~doc)
   in
   let info = Cmd.info "waveform" ~doc:"ASCII t.o.p. waveform of a net" in
-  Cmd.v info Term.(const run $ circuit_arg $ net_arg $ case_arg $ check_arg)
+  Cmd.v info Term.(const run $ circuit $ net_arg $ spec $ check)
 
 let export_cmd =
-  let run name case_str out_dir runs seed =
-    let circuit = load_circuit name in
-    let case = case_of_string case_str in
-    let spec = Experiments.Workloads.spec_fn case in
+  let run circuit spec out_dir runs seed =
     if not (Sys.file_exists out_dir) then Sys.mkdir out_dir 0o755;
     let file base = Filename.concat out_dir base in
     let circuit_name = if Circuit.name circuit = "" then "circuit" else Circuit.name circuit in
@@ -1201,12 +1017,7 @@ let export_cmd =
       ~path:(file (circuit_name ^ "_chip_delay.csv"))
       (Experiments.Export.chip_delay_distribution circuit ~spec);
     (* per-endpoint t.o.p. series and MC histogram for the deepest endpoint *)
-    let e =
-      List.fold_left
-        (fun best x -> if Circuit.level circuit x > Circuit.level circuit best then x else best)
-        (List.hd (Circuit.endpoints circuit))
-        (Circuit.endpoints circuit)
-    in
+    let e = deepest_endpoint circuit in
     Experiments.Export.write_file
       ~path:(file (Printf.sprintf "%s_%s_top.csv" circuit_name (Circuit.net_name circuit e)))
       (Experiments.Export.top_series circuit ~spec ~net:e);
@@ -1220,24 +1031,18 @@ let export_cmd =
     Arg.(value & opt string "export" & info [ "o"; "out" ] ~docv:"DIR" ~doc)
   in
   let info = Cmd.info "export" ~doc:"Export analysis artefacts as CSV" in
-  Cmd.v info Term.(const run $ circuit_arg $ case_arg $ out_arg $ runs_arg $ seed_arg)
+  Cmd.v info Term.(const run $ circuit $ spec $ out_arg $ runs_arg $ seed_arg)
 
 let gen_cmd =
   let run name out format =
     match Generator.find_profile name with
-    | None ->
-      Printf.eprintf "error: no profile named %s\n" name;
-      exit 1
+    | None -> die "no profile named %s" name
     | Some profile ->
       let circuit = Generator.generate profile in
       let to_string, write_file =
         match format with
-        | "bench" -> (Bench_io.to_string, Bench_io.write_file)
-        | "verilog" | "v" ->
-          (Spsta_netlist.Verilog_io.to_string, Spsta_netlist.Verilog_io.write_file)
-        | other ->
-          Printf.eprintf "error: unknown format %s (bench or verilog)\n" other;
-          exit 1
+        | `Bench -> (Bench_io.to_string, Bench_io.write_file)
+        | `Verilog -> (Spsta_netlist.Verilog_io.to_string, Spsta_netlist.Verilog_io.write_file)
       in
       ( match out with
       | None -> print_string (to_string circuit)
@@ -1251,27 +1056,26 @@ let gen_cmd =
   in
   let format_arg =
     let doc = "Netlist format: bench (default) or verilog." in
-    Arg.(value & opt string "bench" & info [ "format" ] ~docv:"FMT" ~doc)
+    let format = Arg.enum [ ("bench", `Bench); ("verilog", `Verilog); ("v", `Verilog) ] in
+    Arg.(value & opt format `Bench & info [ "format" ] ~docv:"FMT" ~doc)
   in
   let info = Cmd.info "gen" ~doc:"Emit a synthetic suite circuit as .bench or Verilog" in
   Cmd.v info Term.(const run $ circuit_arg $ out_arg $ format_arg)
 
 let experiment_cmd =
   let run id runs seed mc_engine mc_domains =
-    let mc_domains = resolve_domains mc_domains in
     match Experiments.Runner.run ~runs ~seed ~mc_engine ~mc_domains id with
     | output -> print_string output
     | exception Not_found ->
-      Printf.eprintf "error: unknown experiment %s (one of: %s)\n" id
-        (String.concat ", " Experiments.Runner.experiment_ids);
-      exit 1
+      die "unknown experiment %s (one of: %s)" id
+        (String.concat ", " Experiments.Runner.experiment_ids)
   in
   let id_arg =
     let doc = "Experiment id: table1, table2, table3, fig1..fig4, summary." in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"ID" ~doc)
   in
   let info = Cmd.info "experiment" ~doc:"Regenerate a paper table or figure" in
-  Cmd.v info Term.(const run $ id_arg $ runs_arg $ seed_arg $ mc_engine_arg $ mc_domains_arg)
+  Cmd.v info Term.(const run $ id_arg $ runs_arg $ seed_arg $ mc_engine_arg $ mc_domains)
 
 let list_cmd =
   let run () =
@@ -1381,11 +1185,11 @@ let serve_cmd =
     let listen =
       if socket <> "" then Transport.Unix_socket socket
       else if port > 0 then Transport.Tcp port
-      else Transport.Stdio
+      else Transport.Stdio (Unix.stdin, Unix.stdout)
     in
     (* transport events are chatter on the stdio transport, where stderr
        already carries the final metrics block *)
-    let log = match listen with Transport.Stdio -> fun _ -> () | _ -> prerr_endline in
+    let log = match listen with Transport.Stdio _ -> fun _ -> () | _ -> prerr_endline in
     let t = Transport.run ~config ~log listen in
     prerr_string (Spsta_server.Metrics.render (Server.metrics t))
   in
@@ -1399,10 +1203,7 @@ let serve_cmd =
 
 let batch_cmd =
   let run file config =
-    if not (Sys.file_exists file) then begin
-      Printf.eprintf "error: no request file %s\n" file;
-      exit 1
-    end;
+    if not (Sys.file_exists file) then die "no request file %s" file;
     let t, responses = Server.run_batch_file ~config file in
     List.iter (fun r -> print_endline (Protocol.response_to_line r)) responses;
     prerr_string (Spsta_server.Metrics.render (Server.metrics t));
@@ -1431,9 +1232,7 @@ let session_rpc ic oc line =
   output_char oc '\n';
   flush oc;
   match input_line ic with
-  | exception End_of_file ->
-    Printf.eprintf "error: server closed the connection\n";
-    exit 1
+  | exception End_of_file -> die "server closed the connection"
   | response -> response
 
 let session_request id kind = Protocol.request_to_line { Protocol.id; deadline_ms = None; kind }
@@ -1442,25 +1241,17 @@ let session_expect_ok line =
   match Protocol.response_of_line line with
   | Ok (Protocol.Ok { result; _ }) -> result
   | Ok (Protocol.Error { code; message; _ }) ->
-    Printf.eprintf "error: server answered %s: %s\n" (Protocol.error_code_name code) message;
-    exit 1
-  | Error e ->
-    Printf.eprintf "error: unparseable response: %s\n" e.Protocol.message;
-    exit 1
-
-let json_float json key =
-  match Spsta_server.Json.member key json with
-  | Some (Spsta_server.Json.Num n) -> n
-  | _ -> nan
+    die "server answered %s: %s" (Protocol.error_code_name code) message
+  | Error e -> die "unparseable response: %s" e.Protocol.message
 
 let json_bool json key =
-  match Spsta_server.Json.member key json with
-  | Some (Spsta_server.Json.Bool b) -> b
-  | _ -> false
+  match Json.member key json with Some (Json.Bool b) -> b | _ -> false
 
 (* Connect to a running server, or — with neither [--socket] nor
-   [--port] — spin up an in-process stdio server on a pipe pair, so
-   scripts and quick experiments need no separate process. *)
+   [--port] — run the stdio transport in-process on a pipe pair, so
+   scripts and quick experiments need no separate process.  The server
+   closes its response end when it stops, so a request sent after a
+   [shutdown] reads end-of-file instead of blocking. *)
 let session_connect config socket port =
   if socket <> "" then begin
     let ic, oc = Unix.open_connection (Unix.ADDR_UNIX socket) in
@@ -1475,15 +1266,15 @@ let session_connect config socket port =
     let resp_r, resp_w = Unix.pipe () in
     let server =
       Domain.spawn (fun () ->
-          let sic = Unix.in_channel_of_descr req_r in
-          let soc = Unix.out_channel_of_descr resp_w in
-          ignore (Server.serve ~config sic soc))
+          ignore (Transport.run ~config ~signals:false (Transport.Stdio (req_r, resp_w)));
+          Unix.close resp_w)
     in
     let ic = Unix.in_channel_of_descr resp_r in
     let oc = Unix.out_channel_of_descr req_w in
     let cleanup () =
       close_out_noerr oc;
       Domain.join server;
+      Unix.close req_r;
       close_in_noerr ic
     in
     (cleanup, ic, oc)
@@ -1499,10 +1290,7 @@ let session_exercise ic oc circuit mutations seed min_speedup =
   let module Gate_kind = Spsta_logic.Gate_kind in
   let c = Spsta_server.Cache.default_loader circuit in
   let gates = Circuit.topo_gates c in
-  if Array.length gates = 0 then begin
-    Printf.eprintf "error: circuit %s has no gates to mutate\n" circuit;
-    exit 1
-  end;
+  if Array.length gates = 0 then die "circuit %s has no gates to mutate" circuit;
   let rng = Rng.create ~seed in
   let session = Printf.sprintf "exercise-%d" seed in
   let rpc kind = session_expect_ok (session_rpc ic oc (session_request session kind)) in
@@ -1564,14 +1352,9 @@ let session_exercise ic oc circuit mutations seed min_speedup =
     mutations !applied (json_float v "mean_dirty_cone") (json_float v "full_ms")
     (json_float v "mean_incremental_ms") speedup identical;
   ignore (rpc (Protocol.Session_close { session }));
-  if not identical then begin
-    Printf.eprintf "error: incremental state diverged from the from-scratch analysis\n";
-    exit 1
-  end;
-  if min_speedup > 0.0 && speedup < min_speedup then begin
-    Printf.eprintf "error: speedup %.2fx below required %.2fx\n" speedup min_speedup;
-    exit 1
-  end
+  if not identical then die "incremental state diverged from the from-scratch analysis";
+  if min_speedup > 0.0 && speedup < min_speedup then
+    die "speedup %.2fx below required %.2fx" speedup min_speedup
 
 (* Replay a JSONL request file (or stdin) lock-step, printing each
    response; exit 2 if any response is an error. *)
@@ -1600,10 +1383,7 @@ let session_cmd =
         | None -> (
           match script with
           | Some file ->
-            if not (Sys.file_exists file) then begin
-              Printf.eprintf "error: no script file %s\n" file;
-              exit 1
-            end;
+            if not (Sys.file_exists file) then die "no script file %s" file;
             let input = open_in file in
             Fun.protect ~finally:(fun () -> close_in_noerr input) (fun () ->
                 session_replay ic oc input)

@@ -9,7 +9,8 @@ type result = {
   rho_output : float;
 }
 
-let run ?(p1 = 0.5) ?(p2 = 0.5) ?(rho1 = 0.5) ?(rho2 = 0.5) () =
+let run () =
+  let p1 = 0.5 and p2 = 0.5 and rho1 = 0.5 and rho2 = 0.5 in
   let gate = Truth.of_gate Gate_kind.And ~arity:2 in
   let probs = [| p1; p2 |] in
   let diff i = Truth.prob_one (Truth.boolean_difference gate i) probs in

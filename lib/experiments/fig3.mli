@@ -9,7 +9,7 @@ type result = {
   rho_output : float;  (** eq. 6 *)
 }
 
-val run : ?p1:float -> ?p2:float -> ?rho1:float -> ?rho2:float -> unit -> result
-(** Defaults reproduce the paper's 0.5/0.5 example. *)
+val run : unit -> result
+(** The paper's example: both input probabilities and toggling rates 0.5. *)
 
 val render : result -> string

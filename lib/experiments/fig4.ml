@@ -27,7 +27,8 @@ let stats_of top =
     skewness = Discrete.skewness top;
   }
 
-let run ?(dt = 0.02) ?(sigma1 = 1.0) ?(sigma2 = 0.5) () =
+let run () =
+  let dt = 0.02 and sigma1 = 1.0 and sigma2 = 0.5 in
   let module B = (val Top.discrete_backend ~dt () : Top.BACKEND with type top = Discrete.t) in
   let module A = Analyzer.Make (B) in
   (* 0.9 signal probability: steady one 80%, rising 10%, falling 10% *)

@@ -17,7 +17,7 @@ type result = {
   rise_probability : float;  (** total mass of the rising t.o.p. *)
 }
 
-val run : ?dt:float -> ?sigma1:float -> ?sigma2:float -> unit -> result
-(** Defaults: dt 0.02, arrival N(5,1) and N(5,0.5). *)
+val run : unit -> result
+(** Grid step 0.02, arrivals N(5,1) and N(5,0.5). *)
 
 val render : result -> string

@@ -422,14 +422,11 @@ let check_dataflow circuit =
   in
   constants @ unobservable @ reconvergent
 
-let check_circuit ?library ?sized ?spec ?grid circuit =
+let check_circuit ?library ?spec ?grid circuit =
   check_structure circuit
   @ check_dataflow circuit
   @ (match library with
     | Some library -> check_library library circuit
-    | None -> [])
-  @ (match sized with
-    | Some sized -> check_sized_library sized circuit
     | None -> [])
   @ (match spec with Some spec -> check_spec ~spec circuit | None -> [])
   @

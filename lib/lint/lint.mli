@@ -81,7 +81,6 @@ val check_grid :
 
 val check_circuit :
   ?library:Spsta_netlist.Cell_library.t ->
-  ?sized:Spsta_netlist.Sized_library.t ->
   ?spec:(Spsta_netlist.Circuit.id -> Spsta_sim.Input_spec.t) ->
   ?grid:float * float ->
   Spsta_netlist.Circuit.t ->

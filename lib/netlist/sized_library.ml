@@ -6,15 +6,13 @@ type t = {
   delay_scale : drive:float -> float;
   area_scale : drive:float -> float;
   cap_scale : drive:float -> float;
-  area_base : Gate_kind.t -> float;
-  cap_base : Gate_kind.t -> float;
 }
 
 let finite x = Float.is_finite x
 
 (* Unit-drive area per kind, in arbitrary "grid" units: complexity-ordered
    like the default library's delays (inverter smallest, XOR largest). *)
-let default_area_base = function
+let area_base = function
   | Gate_kind.Not -> 1.0
   | Gate_kind.Buf -> 1.2
   | Gate_kind.Nand -> 1.5
@@ -26,10 +24,9 @@ let default_area_base = function
 
 (* Unit-drive switched capacitance, in femtofarads: tracks area (gate
    capacitance is proportional to transistor width). *)
-let default_cap_base kind = 2.0 *. default_area_base kind
+let cap_base kind = 2.0 *. area_base kind
 
-let make ?(intrinsic = 0.3) ?delay_scale ?area_scale ?cap_scale
-    ?(area_base = default_area_base) ?(cap_base = default_cap_base) ~drives base =
+let make ?(intrinsic = 0.3) ?delay_scale ?area_scale ?cap_scale ~drives base =
   if Array.length drives = 0 then invalid_arg "Sized_library.make: empty drive ladder";
   Array.iter
     (fun d ->
@@ -49,7 +46,7 @@ let make ?(intrinsic = 0.3) ?delay_scale ?area_scale ?cap_scale
   in
   let area_scale = match area_scale with Some f -> f | None -> fun ~drive -> drive in
   let cap_scale = match cap_scale with Some f -> f | None -> fun ~drive -> drive in
-  { base; drives = Array.copy drives; delay_scale; area_scale; cap_scale; area_base; cap_base }
+  { base; drives = Array.copy drives; delay_scale; area_scale; cap_scale }
 
 let family ?(sizes = 4) ?(ratio = 1.5) ?intrinsic base =
   if sizes < 1 then invalid_arg "Sized_library.family: sizes must be at least 1";
@@ -84,10 +81,10 @@ let mean_delay t ~size kind ~fanin =
 let fanin_factor fanin = 1.0 +. (0.25 *. float_of_int (max 0 (fanin - 1)))
 
 let area t ~size kind ~fanin =
-  t.area_base kind *. fanin_factor fanin *. t.area_scale ~drive:(drive t size)
+  area_base kind *. fanin_factor fanin *. t.area_scale ~drive:(drive t size)
 
 let capacitance t ~size kind ~fanin =
-  t.cap_base kind *. fanin_factor fanin *. t.cap_scale ~drive:(drive t size)
+  cap_base kind *. fanin_factor fanin *. t.cap_scale ~drive:(drive t size)
 
 (* ---------- per-circuit assignments ---------- *)
 

@@ -30,8 +30,6 @@ val make :
   ?delay_scale:(drive:float -> float) ->
   ?area_scale:(drive:float -> float) ->
   ?cap_scale:(drive:float -> float) ->
-  ?area_base:(Spsta_logic.Gate_kind.t -> float) ->
-  ?cap_base:(Spsta_logic.Gate_kind.t -> float) ->
   drives:float array ->
   Cell_library.t ->
   t

@@ -6,8 +6,8 @@ let base_kind = function
   | Gate_kind.Xor | Gate_kind.Xnor -> Gate_kind.Xor
   | Gate_kind.Not | Gate_kind.Buf -> Gate_kind.Buf
 
-let decompose_gates ?(max_fanin = 2) circuit =
-  if max_fanin < 2 then invalid_arg "Transform.decompose_gates: max_fanin must be >= 2";
+let decompose_gates circuit =
+  let max_fanin = 2 in
   let b = Builder_of_circuit.builder_with_interface circuit in
   let fresh = ref 0 in
   let fresh_name () =

@@ -9,9 +9,9 @@
     instead ECO edits: in-place mutations whose dirty net set feeds the
     incremental analyzers. *)
 
-val decompose_gates : ?max_fanin:int -> Circuit.t -> Circuit.t
-(** Rewrite every gate with more than [max_fanin] (default 2) inputs
-    into a balanced tree of [max_fanin]-input gates of the base
+val decompose_gates : Circuit.t -> Circuit.t
+(** Rewrite every gate with more than two inputs into a balanced tree
+    of two-input gates of the base
     associative kind, with the inversion (for NAND/NOR/XNOR) applied at
     the root.  Net names of original gates are preserved; helper nets get
     fresh names. *)

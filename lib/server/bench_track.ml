@@ -95,8 +95,8 @@ let append_history ~path record =
 type regression = { metric : string; base_s : float; current_s : float; ratio : float }
 
 let default_threshold = 0.15
-let default_min_base_s = 1e-4
-let default_min_delta_s = 0.005
+let min_base_s = 1e-4
+let min_delta_s = 0.005
 
 (* Metrics are matched by name; anything present in only one document is
    skipped (the tracked suites need not coincide), as are metrics whose
@@ -127,8 +127,7 @@ let is_reference name =
   let suffix = "_baseline" in
   let n = String.length name and k = String.length suffix in
   n >= k && String.sub name (n - k) k = suffix
-let compare_docs ?(threshold = default_threshold) ?(min_base_s = default_min_base_s)
-    ?(min_delta_s = default_min_delta_s) ~base ~current () =
+let compare_docs ?(threshold = default_threshold) ~base ~current () =
   let base_metrics = metrics base in
   let current_metrics = metrics current in
   let compared = ref 0 and regressions = ref [] in

@@ -31,31 +31,16 @@ type regression = { metric : string; base_s : float; current_s : float; ratio : 
 val default_threshold : float
 (** 0.15 — fail on >15% wall-time regression. *)
 
-val default_min_base_s : float
-(** 1e-4 s — baselines below this are skipped: few-microsecond entries
-    are decided by loop overhead and timer granularity, not the
-    measured kernel (larger ones are already batch-stabilised by the
-    harness). *)
-
-val default_min_delta_s : float
-(** 0.005 s — a flagged regression must also have grown by at least
-    this much absolute wall time.  Few-millisecond metrics can drift
-    30-40% relative purely from sustained scheduler interference on a
-    shared host; an absolute drift that small is below anything the
-    gate could act on. *)
-
 val compare_docs :
-  ?threshold:float ->
-  ?min_base_s:float ->
-  ?min_delta_s:float ->
-  base:Json.t ->
-  current:Json.t ->
-  unit ->
-  int * regression list
+  ?threshold:float -> base:Json.t -> current:Json.t -> unit -> int * regression list
 (** [compare_docs ~base ~current ()] matches metrics by name (skipping
-    ones present in only one document or below [min_base_s] in the
-    baseline) and returns (number compared, regressions that exceed
-    [threshold] relative AND [min_delta_s] absolute growth).
+    ones present in only one document, and baselines below 100 us:
+    few-microsecond entries are decided by loop overhead and timer
+    granularity, not the measured kernel) and returns (number compared,
+    regressions that exceed [threshold] relative AND 5 ms absolute
+    growth — few-millisecond metrics drift 30-40% relative from
+    sustained scheduler interference on a shared host, below anything
+    the gate could act on).
     ["*_baseline"] metrics — reference timings of deliberately
     unoptimised configurations, kept only to anchor in-process speedup
     ratios — are recorded in history but never gated: there is no

@@ -16,10 +16,6 @@ module Monte_carlo = Spsta_sim.Monte_carlo
 module Stats = Spsta_util.Stats
 module Workloads = Spsta_experiments.Workloads
 
-let spec_of_case = function
-  | Protocol.Case_i -> Workloads.spec_fn Workloads.Case_i
-  | Protocol.Case_ii -> Workloads.spec_fn Workloads.Case_ii
-
 (* [top = 0] means every endpoint; otherwise the [top] endpoints with the
    largest mean arrival (ties broken by net id, so the order is stable). *)
 let select_endpoints circuit ~top ~mean_of =
@@ -51,12 +47,14 @@ let endpoints_payload circuit ~top ~extra ~mean_of ~endpoint_json =
     @ extra
     @ [ ("endpoints", Json.List (List.map endpoint_json endpoints)) ])
 
-(* [check = false] maps to [Some false], not [None]: the server decides
-   per request, so the worker's SPSTA_CHECK environment must not leak
-   into the answer. *)
-let analyze_payload circuit ~case ~top ~check ~domains =
-  let spec = spec_of_case case in
-  let result = Analyzer.Moments.analyze ~check ~domains circuit ~spec in
+(* The per-endpoint builders also render the CLI's [analyze], [ssta] and
+   [mc] tables (at [top = 0]).  [check] is optional for the CLI, where
+   [None] defers to the SPSTA_CHECK environment; the server always passes
+   the request's flag, so the worker's environment never leaks into an
+   answer. *)
+let analyze_payload ?check circuit ~case ~top ~domains =
+  let spec = Workloads.spec_fn case in
+  let result = Analyzer.Moments.analyze ?check ~domains circuit ~spec in
   let endpoint_json e =
     let s = Analyzer.Moments.signal result e in
     let rmu, rsig, rp = Analyzer.Moments.transition_stats s `Rise in
@@ -77,8 +75,8 @@ let analyze_payload circuit ~case ~top ~check ~domains =
     ~extra:[ ("case", Json.string (Protocol.case_name case)) ]
     ~mean_of ~endpoint_json
 
-let ssta_payload circuit ~top ~check ~domains =
-  let result = Spsta_ssta.Ssta.analyze ~check ~domains circuit in
+let ssta_payload ?check circuit ~top ~domains =
+  let result = Spsta_ssta.Ssta.analyze ?check ~domains circuit in
   let open Spsta_dist.Normal in
   let endpoint_json e =
     let a = Spsta_ssta.Ssta.arrival result e in
@@ -95,10 +93,9 @@ let ssta_payload circuit ~top ~check ~domains =
   in
   endpoints_payload circuit ~top ~extra:[] ~mean_of ~endpoint_json
 
-let mc_payload circuit ~case ~runs ~seed ~top ~engine =
-  let spec = spec_of_case case in
-  let engine = match engine with Protocol.Scalar -> `Scalar | Protocol.Packed -> `Packed in
-  let result = Monte_carlo.simulate ~runs ~seed ~engine circuit ~spec in
+let mc_payload ?domains circuit ~case ~runs ~seed ~top ~engine =
+  let spec = Workloads.spec_fn case in
+  let result = Monte_carlo.simulate ~runs ~seed ~engine ?domains circuit ~spec in
   let endpoint_json e =
     let s = Monte_carlo.stats result e in
     Json.Obj
@@ -142,6 +139,29 @@ let paths_payload circuit ~k ~sigma_global ~sigma_spatial ~sigma_random =
     (circuit_header circuit
     @ [ ("k", Json.int k); ("paths", Json.List (List.mapi path_json paths)) ])
 
+(* Sizing-report pieces shared with the CLI's [size --json]. *)
+
+let initial_sizes sized circuit = function
+  | Protocol.Smallest -> None
+  | Protocol.Largest ->
+    Some
+      (Spsta_netlist.Sized_library.uniform sized circuit
+         ~size:(Spsta_netlist.Sized_library.num_sizes sized - 1))
+
+let direction_name = function `Up -> "up" | `Down -> "down"
+
+let move_json circuit (m : Spsta_opt.Sizer.move) =
+  Json.Obj
+    [ ("net", Json.string (Circuit.net_name circuit m.net));
+      ("direction", Json.string (direction_name m.direction));
+      ("from_size", Json.int m.from_size); ("to_size", Json.int m.to_size);
+      ("objective_after", Json.float m.objective_after);
+      ("area_after", Json.float m.area_after) ]
+
+let yield_curve_json points =
+  Json.List
+    (List.map (fun (p, t) -> Json.Obj [ ("yield", Json.float p); ("clock", Json.float t) ]) points)
+
 let size_payload circuit ~quantile ~target ~max_moves ~candidates ~sizes ~ratio ~initial
     ~check =
   let sized =
@@ -151,30 +171,9 @@ let size_payload circuit ~quantile ~target ~max_moves ~candidates ~sizes ~ratio 
     { Spsta_opt.Sizer.default_config with
       Spsta_opt.Sizer.quantile; target; max_moves; candidates }
   in
-  let initial =
-    match initial with
-    | Protocol.Smallest -> None
-    | Protocol.Largest ->
-      Some
-        (Spsta_netlist.Sized_library.uniform sized circuit
-           ~size:(Spsta_netlist.Sized_library.num_sizes sized - 1))
-  in
+  let initial = initial_sizes sized circuit initial in
   let report = Spsta_opt.Sizer.run ~config ~check ?initial sized circuit in
   let open Spsta_opt.Sizer in
-  let move m =
-    Json.Obj
-      [ ("net", Json.string (Circuit.net_name circuit m.net));
-        ("direction", Json.string (match m.direction with `Up -> "up" | `Down -> "down"));
-        ("from_size", Json.int m.from_size); ("to_size", Json.int m.to_size);
-        ("objective_after", Json.float m.objective_after);
-        ("area_after", Json.float m.area_after) ]
-  in
-  let curve points =
-    Json.List
-      (List.map
-         (fun (p, t) -> Json.Obj [ ("yield", Json.float p); ("clock", Json.float t) ])
-         points)
-  in
   Json.Obj
     (circuit_header circuit
     @ [ ("quantile", Json.float quantile);
@@ -185,48 +184,49 @@ let size_payload circuit ~quantile ~target ~max_moves ~candidates ~sizes ~ratio 
         ("capacitance_before", Json.float report.capacitance_before);
         ("capacitance_after", Json.float report.capacitance_after);
         ("evaluations", Json.int report.evaluations);
-        ("moves", Json.List (List.map move report.moves));
-        ("yield_before", curve report.yield_before);
-        ("yield_after", curve report.yield_after) ])
+        ("moves", Json.List (List.map (move_json circuit) report.moves));
+        ("yield_before", yield_curve_json report.yield_before);
+        ("yield_after", yield_curve_json report.yield_after) ])
+
+module Static = Spsta_analysis.Static
+module Reconvergence = Spsta_analysis.Reconvergence
+
+(* Reconvergent regions widest first, ties by stem: the order both the
+   server and the CLI's [static] report. *)
+let widest_regions (t : Static.t) =
+  match t.reconvergence with
+  | None -> []
+  | Some r ->
+    List.stable_sort
+      (fun (a : Reconvergence.region) b ->
+        match compare b.width a.width with 0 -> compare a.stem b.stem | c -> c)
+      (Reconvergence.regions r)
+
+let region_json circuit (r : Reconvergence.region) =
+  Json.Obj
+    [ ("stem", Json.string (Circuit.net_name circuit r.stem));
+      ("merge", Json.string (Circuit.net_name circuit r.merge));
+      ("width", Json.int r.width); ("depth", Json.int r.depth);
+      ("gates", match r.gates with Some n -> Json.int n | None -> Json.Null) ]
+
+let fact_counts_json t =
+  Json.Obj (List.map (fun (k, v) -> (k, Json.int v)) (Static.fact_counts t))
 
 (* Static dataflow facts.  The pass set arrives canonicalised from the
-   decoder; regions are reported widest-first and capped so a stem-heavy
-   circuit cannot balloon the stored payload. *)
+   decoder; regions are capped so a stem-heavy circuit cannot balloon the
+   stored payload. *)
 let static_payload circuit ~passes =
-  let module Static = Spsta_analysis.Static in
-  let module Reconvergence = Spsta_analysis.Reconvergence in
-  let module Crit_bounds = Spsta_analysis.Crit_bounds in
   let pass_list = List.filter_map Static.pass_of_name passes in
   let t = Static.run ~passes:pass_list circuit in
-  let max_regions = 25 in
-  let regions =
-    match t.Static.reconvergence with
-    | None -> []
-    | Some r ->
-      let widest =
-        List.stable_sort
-          (fun (a : Reconvergence.region) b ->
-            match compare b.width a.width with 0 -> compare a.stem b.stem | c -> c)
-          (Reconvergence.regions r)
-      in
-      List.filteri (fun i _ -> i < max_regions) widest
-  in
-  let region (r : Reconvergence.region) =
-    Json.Obj
-      [ ("stem", Json.string (Circuit.net_name circuit r.stem));
-        ("merge", Json.string (Circuit.net_name circuit r.merge));
-        ("width", Json.int r.width); ("depth", Json.int r.depth);
-        ("gates", match r.gates with Some n -> Json.int n | None -> Json.Null) ]
-  in
+  let regions = List.filteri (fun i _ -> i < 25) (widest_regions t) in
   Json.Obj
     (circuit_header circuit
     @ [ ("passes", Json.List (List.map Json.string passes));
-        ( "facts",
-          Json.Obj (List.map (fun (k, v) -> (k, Json.int v)) (Static.fact_counts t)) );
-        ("regions", Json.List (List.map region regions)) ]
+        ("facts", fact_counts_json t);
+        ("regions", Json.List (List.map (region_json circuit) regions)) ]
     @
     match t.Static.criticality with
-    | Some c -> [ ("t_lb", Json.float (Crit_bounds.t_lb c)) ]
+    | Some c -> [ ("t_lb", Json.float (Spsta_analysis.Crit_bounds.t_lb c)) ]
     | None -> [])
 
 let compute_payload ~domains (cache : Cache.t) (kind : Protocol.kind) =
@@ -237,7 +237,7 @@ let compute_payload ~domains (cache : Cache.t) (kind : Protocol.kind) =
   | Protocol.Ssta p -> ssta_payload (circuit_of p.circuit) ~top:p.top ~check:p.check ~domains
   | Protocol.Mc p ->
     mc_payload (circuit_of p.circuit) ~case:p.case ~runs:p.runs ~seed:p.seed ~top:p.top
-      ~engine:p.engine
+      ~engine:(match p.engine with Protocol.Scalar -> `Scalar | Protocol.Packed -> `Packed)
   | Protocol.Paths p ->
     paths_payload (circuit_of p.circuit) ~k:p.k ~sigma_global:p.sigma_global
       ~sigma_spatial:p.sigma_spatial ~sigma_random:p.sigma_random

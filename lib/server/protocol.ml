@@ -39,9 +39,9 @@
    The codec is deliberately dependency-free (module {!Json}) so clients in
    any language can speak it with a stock JSON library. *)
 
-type case = Case_i | Case_ii
+type case = Spsta_experiments.Workloads.case = Case_i | Case_ii
 
-let case_name = function Case_i -> "I" | Case_ii -> "II"
+let case_name = Spsta_experiments.Workloads.case_name
 
 let case_of_string = function
   | "I" | "i" | "1" -> Some Case_i

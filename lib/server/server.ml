@@ -165,46 +165,6 @@ let try_submit ?on_response t (request : Protocol.request) =
 
 let record_invalid t = Metrics.record t.metrics ~kind:"invalid" ~outcome:`Error ~elapsed_ms:0.0
 
-(* ---------- streaming server ---------- *)
-
-let serve ?config ic oc =
-  let t = create ?config () in
-  let out_mutex = Mutex.create () in
-  let write response =
-    Mutex.lock out_mutex;
-    output_string oc (Protocol.response_to_line response);
-    output_char oc '\n';
-    flush oc;
-    Mutex.unlock out_mutex
-  in
-  let rec loop () =
-    match input_line ic with
-    | exception End_of_file -> ()
-    | "" -> loop ()
-    | line -> (
-      match Protocol.request_of_line line with
-      | Error e ->
-        record_invalid t;
-        write (Protocol.error_response e);
-        loop ()
-      | Ok request -> (
-        match request.Protocol.kind with
-        | Protocol.Stats ->
-          write (stats_response t ~id:request.Protocol.id);
-          loop ()
-        | Protocol.Shutdown ->
-          (* stop reading, finish everything already accepted, then ack *)
-          Pool.shutdown t.pool;
-          Metrics.record t.metrics ~kind:"shutdown" ~outcome:`Ok ~elapsed_ms:0.0;
-          write (shutdown_response ~id:request.Protocol.id)
-        | _ ->
-          ignore (submit ~on_response:write t request);
-          loop () ) )
-  in
-  loop ();
-  drain t;
-  t
-
 (* ---------- batch execution ---------- *)
 
 (* Responses come back in request order.  Control requests are evaluated

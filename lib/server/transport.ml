@@ -34,10 +34,12 @@
    exits 0.
 
    Stdio mode is the degenerate transport: one pre-accepted connection
-   on stdin/stdout, EOF plays the role of the shutdown signal.  [spsta
-   serve] without a socket flag runs exactly this. *)
+   on a borrowed (input, output) descriptor pair, and EOF plays the role
+   of the shutdown signal.  [spsta serve] without a socket flag runs it
+   on stdin/stdout; the in-process mode of [spsta session] runs it on a
+   pipe pair. *)
 
-type listen = Unix_socket of string | Tcp of int | Stdio
+type listen = Unix_socket of string | Tcp of int | Stdio of Unix.file_descr * Unix.file_descr
 
 type conn = {
   in_fd : Unix.file_descr;
@@ -219,7 +221,7 @@ let select_timeout_s = 0.25
 let sweep_interval_s = 2.0
 
 let open_listener = function
-  | Stdio -> None
+  | Stdio _ -> None
   | Unix_socket path ->
     if Sys.file_exists path then Sys.remove path;
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -247,8 +249,7 @@ let run ?config ?(signals = true) ?(log = fun _ -> ()) listen =
   (try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Invalid_argument _ -> ());
   let listener = open_listener listen in
   ( match listen with
-  | Stdio ->
-    t.conns <- [ make_conn ~stdio:true ~peer:"stdio" ~in_fd:Unix.stdin ~out_fd:Unix.stdout () ]
+  | Stdio (in_fd, out_fd) -> t.conns <- [ make_conn ~stdio:true ~peer:"stdio" ~in_fd ~out_fd () ]
   | Unix_socket path -> logf t "transport: listening on %s" path
   | Tcp port -> logf t "transport: listening on 127.0.0.1:%d" port );
   let last_sweep = ref (Unix.gettimeofday ()) in
@@ -257,7 +258,7 @@ let run ?config ?(signals = true) ?(log = fun _ -> ()) listen =
     ||
     (* stdio mode ends at EOF once the last response is out *)
     match listen with
-    | Stdio -> t.conns = []
+    | Stdio _ -> t.conns = []
     | Unix_socket _ | Tcp _ -> false
   in
   while not (finished ()) do
@@ -299,6 +300,6 @@ let run ?config ?(signals = true) ?(log = fun _ -> ()) listen =
   t.conns <- [];
   ( match listen with
   | Unix_socket path -> ( try Sys.remove path with Sys_error _ -> ())
-  | Tcp _ | Stdio -> () );
+  | Tcp _ | Stdio _ -> () );
   logf t "transport: stopped";
   server

@@ -253,12 +253,3 @@ let simulate ?gate_delay ?delay_sigma ?mis ?(runs = 10_000) ?(engine = `Packed) 
     else Parallel.iter_ranges ~domains nchunks compute;
     reduce_tree slots 0 nchunks
   end
-
-let simulate_parallel ?gate_delay ?delay_sigma ?mis ?runs ?domains ?engine ~seed circuit ~spec =
-  let domains =
-    match domains with
-    | Some d when d >= 1 -> d
-    | Some _ -> invalid_arg "Monte_carlo.simulate_parallel: domains must be positive"
-    | None -> Parallel.default_domains ()
-  in
-  simulate ?gate_delay ?delay_sigma ?mis ?runs ?engine ~domains ~seed circuit ~spec

@@ -58,24 +58,6 @@ val simulate :
     result does not depend on it.  [spec] must be pure.  Raises
     [Invalid_argument] on negative [runs] or non-positive [domains]. *)
 
-val simulate_parallel :
-  ?gate_delay:float ->
-  ?delay_sigma:float ->
-  ?mis:Spsta_logic.Mis_model.t ->
-  ?runs:int ->
-  ?domains:int ->
-  ?engine:engine ->
-  seed:int ->
-  Spsta_netlist.Circuit.t ->
-  spec:(Spsta_netlist.Circuit.id -> Input_spec.t) ->
-  result
-(** {!simulate} with [domains] defaulting to the machine's recommended
-    domain count.  Every trial draws from the same per-trial stream at
-    any domain count, and chunk results are merged along a fixed
-    reduction tree, so this equals the sequential {!simulate} bit for
-    bit — the historical "parallel results differ from the sequential
-    stream" caveat is gone. *)
-
 val merge : result -> result -> result
 (** Combine two results over the same circuit (e.g. shards of a larger
     campaign); either side may have zero runs.  Raises

@@ -31,7 +31,10 @@ let propagate circuit ~pi_spec ~q_of =
     (Circuit.topo_gates circuit);
   per_net
 
-let fixed_point ?(max_iterations = 100) ?(tolerance = 1e-9) ?(damping = 1.0) circuit ~pi_spec =
+let max_iterations = 100
+let tolerance = 1e-9
+
+let fixed_point ?(damping = 1.0) circuit ~pi_spec =
   if not (damping > 0.0 && damping <= 1.0) then
     invalid_arg "Sequential.fixed_point: damping outside (0,1]";
   let q = Hashtbl.create 16 in

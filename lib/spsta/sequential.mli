@@ -17,16 +17,14 @@
 type t
 
 val fixed_point :
-  ?max_iterations:int ->
-  ?tolerance:float ->
   ?damping:float ->
   Spsta_netlist.Circuit.t ->
   pi_spec:(Spsta_netlist.Circuit.id -> Spsta_sim.Input_spec.t) ->
   t
-(** Iterates from q = 1/2 for every flip-flop.  [max_iterations]
-    defaults to 100, [tolerance] (max |dq| per iteration) to 1e-9,
-    [damping] in (0, 1] (fraction of the new estimate used per step) to
-    1.0.  Primary-input statistics come from [pi_spec]. *)
+(** Iterates from q = 1/2 for every flip-flop until the largest |dq| of
+    an iteration falls below 1e-9, for at most 100 iterations.
+    [damping] in (0, 1] (fraction of the new estimate used per step)
+    defaults to 1.0.  Primary-input statistics come from [pi_spec]. *)
 
 val converged : t -> bool
 val iterations : t -> int

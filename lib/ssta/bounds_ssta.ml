@@ -30,14 +30,11 @@ let band_check : (float array * float array) Propagate.Sanitize.check =
     in
     scan 0
 
-let analyze ?(gate_delay = 1.0) ?(dt = 0.1) ?horizon ?(input_arrival = Normal.standard)
-    ?check ?domains circuit =
+let analyze ?(gate_delay = 1.0) ?(dt = 0.1) ?(input_arrival = Normal.standard) ?check
+    ?domains circuit =
   let depth = float_of_int (Circuit.depth circuit) in
   let horizon =
-    match horizon with
-    | Some h -> h
-    | None ->
-      (depth *. gate_delay) +. Normal.mean input_arrival +. (6.0 *. Normal.stddev input_arrival)
+    (depth *. gate_delay) +. Normal.mean input_arrival +. (6.0 *. Normal.stddev input_arrival)
   in
   let lo = Normal.mean input_arrival -. (6.0 *. Normal.stddev input_arrival) in
   let steps = max 1 (int_of_float (Float.ceil ((horizon -. lo) /. dt))) in

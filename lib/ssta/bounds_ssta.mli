@@ -18,7 +18,7 @@
     Unlike {!Ssta} and {!Sta}, this analyzer has no flat
     struct-of-arrays fast path: its per-net state is a pair of cdf
     arrays spanning the whole time grid, whose length is chosen at
-    analyze time from [dt]/[horizon] — not a small fixed tuple of
+    analyze time from [dt] and the circuit depth — not a small fixed tuple of
     floats that could live in per-moment [floatarray] slots.  It rides
     the generic record engine ({!Spsta_engine.Propagate.run}), where
     array-valued states are natural. *)
@@ -34,14 +34,13 @@ type result
 val analyze :
   ?gate_delay:float ->
   ?dt:float ->
-  ?horizon:float ->
   ?input_arrival:Spsta_dist.Normal.t ->
   ?check:bool ->
   ?domains:int ->
   Spsta_netlist.Circuit.t ->
   result
-(** [dt] (default 0.1) and [horizon] (default: depth + 6 sigma slack)
-    define the grid; [input_arrival] defaults to the standard normal.
+(** [dt] (default 0.1) is the grid step; the grid ends 6 input sigmas
+    past depth * [gate_delay]; [input_arrival] defaults to the standard normal.
 
     Traversal comes from {!Spsta_engine.Propagate}: [domains]
     (default 1) evaluates each logic level's gates across that many

@@ -1,23 +1,23 @@
 module Circuit = Spsta_netlist.Circuit
 module Rng = Spsta_util.Rng
 
+(* every gate's nominal delay is the paper's unit delay *)
+let nominal = 1.0
+
 type t = {
-  nominal : float;
   sigma_global : float;
   sigma_spatial : float;
   sigma_random : float;
   grid : int;
 }
 
-let create ?(nominal = 1.0) ?(sigma_global = 0.0) ?(sigma_spatial = 0.0) ?(sigma_random = 0.0)
-    ~grid () =
+let create ?(sigma_global = 0.0) ?(sigma_spatial = 0.0) ?(sigma_random = 0.0) ~grid () =
   if grid <= 0 then invalid_arg "Param_model.create: grid must be positive";
   List.iter
     (fun s -> if s < 0.0 then invalid_arg "Param_model.create: negative sigma")
     [ sigma_global; sigma_spatial; sigma_random ];
-  { nominal; sigma_global; sigma_spatial; sigma_random; grid }
+  { sigma_global; sigma_spatial; sigma_random; grid }
 
-let nominal t = t.nominal
 let grid t = t.grid
 let num_params t = 1 + (t.grid * t.grid)
 
@@ -60,7 +60,7 @@ let gate_delay_canonical t p id =
   let sens = Array.make (num_params t) 0.0 in
   sens.(0) <- t.sigma_global;
   sens.(1 + region p id) <- t.sigma_spatial;
-  Canonical.make ~mean:t.nominal ~sens ~rand:t.sigma_random
+  Canonical.make ~mean:nominal ~sens ~rand:t.sigma_random
 
 let sample_delays rng t p circuit =
   let g = Rng.gaussian rng ~mu:0.0 ~sigma:1.0 in
@@ -68,7 +68,7 @@ let sample_delays rng t p circuit =
   let n = Circuit.num_nets circuit in
   let delays =
     Array.init n (fun id ->
-        t.nominal +. (t.sigma_global *. g)
+        nominal +. (t.sigma_global *. g)
         +. (t.sigma_spatial *. spatial.(region p id))
         +. (t.sigma_random *. Rng.gaussian rng ~mu:0.0 ~sigma:1.0))
   in

@@ -15,18 +15,16 @@
 type t
 
 val create :
-  ?nominal:float ->
   ?sigma_global:float ->
   ?sigma_spatial:float ->
   ?sigma_random:float ->
   grid:int ->
   unit ->
   t
-(** Defaults: nominal 1.0 (the paper's unit delay), sigmas 0.
+(** Nominal delay 1.0 (the paper's unit delay); sigmas default to 0.
     Raises [Invalid_argument] on non-positive [grid] or negative
     sigmas. *)
 
-val nominal : t -> float
 val grid : t -> int
 
 val num_params : t -> int

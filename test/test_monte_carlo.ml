@@ -108,7 +108,7 @@ let test_merge () =
 let test_parallel_matches_sequential_statistics () =
   let c = tree_circuit () in
   let spec _ = Input_spec.case_i in
-  let p = Monte_carlo.simulate_parallel ~runs:20_000 ~domains:4 ~seed:5 c ~spec in
+  let p = Monte_carlo.simulate ~runs:20_000 ~domains:4 ~seed:5 c ~spec in
   Alcotest.(check int) "all runs executed" 20_000 p.Monte_carlo.runs;
   let s = Monte_carlo.simulate ~runs:20_000 ~seed:5 c ~spec in
   let y = Circuit.find_exn c "y" in
@@ -124,8 +124,8 @@ let test_parallel_matches_sequential_statistics () =
 let test_parallel_deterministic () =
   let c = tree_circuit () in
   let spec _ = Input_spec.case_i in
-  let a = Monte_carlo.simulate_parallel ~runs:2000 ~domains:3 ~seed:9 c ~spec in
-  let b = Monte_carlo.simulate_parallel ~runs:2000 ~domains:3 ~seed:9 c ~spec in
+  let a = Monte_carlo.simulate ~runs:2000 ~domains:3 ~seed:9 c ~spec in
+  let b = Monte_carlo.simulate ~runs:2000 ~domains:3 ~seed:9 c ~spec in
   let y = Circuit.find_exn c "y" in
   let sa = Monte_carlo.stats a y and sb = Monte_carlo.stats b y in
   (* fixed (seed, domains) must reproduce the exact stream: counts and
@@ -141,7 +141,7 @@ let test_parallel_deterministic () =
 let test_parallel_shards_cover_runs () =
   let c = tree_circuit () in
   let spec _ = Input_spec.case_i in
-  let p = Monte_carlo.simulate_parallel ~runs:1999 ~domains:4 ~seed:3 c ~spec in
+  let p = Monte_carlo.simulate ~runs:1999 ~domains:4 ~seed:3 c ~spec in
   Alcotest.(check int) "odd run count fully covered" 1999 p.Monte_carlo.runs;
   let y = Circuit.find_exn c "y" in
   let s = Monte_carlo.stats p y in
