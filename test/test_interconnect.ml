@@ -123,6 +123,133 @@ let test_timing_engines_consume_wire_delays () =
   close "ssta loaded arrival" expected
     (Spsta_dist.Normal.mean (Spsta_ssta.Ssta.arrival ssta out).Spsta_ssta.Ssta.rise)
 
+(* ---------- delay bits pinned ---------- *)
+
+(* Every engine that takes a per-gate delay, run on s344 under the
+   wire-load stage delays and under the characterised cell library's
+   (rise, fall) delays; each endpoint value is pinned as a hex float
+   (exact bits) against test/golden/delays.tsv, one "label<TAB>value"
+   line per value, so a change to how a delay reaches an analysis
+   cannot move a result.  The unit-delay Monte Carlo rows pin the
+   per-gate delay_sigma path of both engines. *)
+let delay_pin_rows () =
+  let module Ssta = Spsta_ssta.Ssta in
+  let module Moments = Spsta_core.Analyzer.Moments in
+  let module Mc = Spsta_sim.Monte_carlo in
+  let c = Spsta_experiments.Benchmarks.load "s344" in
+  let spec = Spsta_experiments.Workloads.spec_fn Spsta_experiments.Workloads.Case_i in
+  let endpoints = Circuit.endpoints c in
+  let wire = Wire_model.stage_delay (Wire_model.build c) in
+  let wire_rf g = (wire g, wire g) in
+  let cell_rf = Spsta_netlist.Cell_library.gate_delays Spsta_netlist.Cell_library.default c in
+  let rows = ref [] in
+  let row label v = rows := (label, Printf.sprintf "%h" v) :: !rows in
+  let add label e values =
+    List.iter (fun (what, v) -> row (Printf.sprintf "%s %s %s" label (Circuit.net_name c e) what) v)
+      values
+  in
+  let spsta label signal transition_stats probs =
+    List.iter
+      (fun e ->
+        let s = signal e in
+        let rise_mu, rise_sigma, _ = transition_stats s `Rise in
+        let fall_mu, fall_sigma, _ = transition_stats s `Fall in
+        let p = probs s in
+        add label e
+          [ ("p0", p.Spsta_core.Four_value.p_zero); ("p1", p.p_one); ("pr", p.p_rise);
+            ("pf", p.p_fall); ("rise_mu", rise_mu); ("rise_sigma", rise_sigma);
+            ("fall_mu", fall_mu); ("fall_sigma", fall_sigma) ])
+      endpoints
+  in
+  let moments label r =
+    spsta label (Moments.signal r) Moments.transition_stats (fun s -> s.Moments.probs)
+  in
+  moments "moments wire" (Moments.analyze ~delay_of:wire c ~spec);
+  moments "moments cell" (Moments.analyze ~delay_rf:cell_rf c ~spec);
+  let module B =
+    (val Spsta_core.Top.discrete_backend ~dt:0.05 ()
+        : Spsta_core.Top.BACKEND with type top = Spsta_dist.Discrete.t)
+  in
+  let module Grid = Spsta_core.Analyzer.Make (B) in
+  let grid label r = spsta label (Grid.signal r) Grid.transition_stats (fun s -> s.Grid.probs) in
+  grid "grid wire" (Grid.analyze ~delay_of:wire c ~spec);
+  grid "grid cell" (Grid.analyze ~delay_rf:cell_rf c ~spec);
+  let source_values =
+    let rng = Spsta_util.Rng.create ~seed:11 in
+    let drawn = Hashtbl.create 64 in
+    List.iter
+      (fun s -> Hashtbl.replace drawn s (Spsta_sim.Input_spec.sample rng (spec s)))
+      (Circuit.sources c);
+    Hashtbl.find drawn
+  in
+  let sim label (r : Spsta_sim.Logic_sim.result) =
+    List.iter (fun e -> add label e [ ("time", r.Spsta_sim.Logic_sim.times.(e)) ]) endpoints
+  in
+  sim "sim wire" (Spsta_sim.Logic_sim.run ~delay_of:wire c ~source_values);
+  sim "sim cell" (Spsta_sim.Logic_sim.run ~delay_rf:cell_rf c ~source_values);
+  let chip = Spsta_core.Chip_delay.compute ~delay_of:wire c ~spec in
+  row "chip wire p_idle" (Spsta_core.Chip_delay.p_idle chip);
+  row "chip wire mean" (Spsta_core.Chip_delay.mean chip);
+  row "chip wire stddev" (Spsta_core.Chip_delay.stddev chip);
+  List.iter (fun (e, p) -> add "chip wire" e [ ("crit", p) ])
+    (Spsta_core.Chip_delay.endpoint_criticality chip);
+  (* a full SSTA sweep, then one in-place update after half the sources
+     arrive later *)
+  let late = List.filteri (fun i _ -> i mod 2 = 0) (Circuit.sources c) in
+  let input_arrival_of s =
+    let n = if List.mem s late then Spsta_dist.Normal.make ~mu:0.5 ~sigma:1.2 else Spsta_dist.Normal.standard in
+    { Ssta.rise = n; fall = n }
+  in
+  let ssta label r =
+    List.iter
+      (fun e ->
+        let a = Ssta.arrival r e in
+        add label e
+          [ ("rise_mu", Spsta_dist.Normal.mean a.Ssta.rise);
+            ("rise_sigma", Spsta_dist.Normal.stddev a.Ssta.rise);
+            ("fall_mu", Spsta_dist.Normal.mean a.Ssta.fall);
+            ("fall_sigma", Spsta_dist.Normal.stddev a.Ssta.fall) ])
+      endpoints
+  in
+  let unit_r = Ssta.analyze c in
+  Ssta.update ~input_arrival_of unit_r ~changed:late;
+  ssta "ssta unit" unit_r;
+  List.iter
+    (fun (label, delay_rf) ->
+      let r = Ssta.analyze_rf ~delay_rf c in
+      Ssta.update_rf ~delay_rf ~input_arrival_of r ~changed:late;
+      ssta label r)
+    [ ("ssta wire", wire_rf); ("ssta cell", cell_rf) ];
+  List.iter
+    (fun (label, engine) ->
+      let r = Mc.simulate ~delay_sigma:0.1 ~runs:200 ~engine ~seed:7 c ~spec in
+      List.iter
+        (fun e ->
+          let s = Mc.stats r e in
+          add label e
+            [ ("pr", Mc.p_rise s); ("pf", Mc.p_fall s);
+              ("rise_mu", Spsta_util.Stats.acc_mean s.Mc.rise_times);
+              ("rise_sigma", Spsta_util.Stats.acc_stddev s.Mc.rise_times);
+              ("fall_mu", Spsta_util.Stats.acc_mean s.Mc.fall_times);
+              ("fall_sigma", Spsta_util.Stats.acc_stddev s.Mc.fall_times) ])
+        endpoints)
+    [ ("mc scalar", `Scalar); ("mc packed", `Packed) ];
+  List.rev !rows
+
+let test_delay_bits_pinned () =
+  let path = Filename.concat (Filename.dirname Sys.executable_name) "golden/delays.tsv" in
+  let expected =
+    In_channel.with_open_bin path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+    |> List.map (fun l ->
+           let tab = String.index l '\t' in
+           (String.sub l 0 tab, String.sub l (tab + 1) (String.length l - tab - 1)))
+  in
+  let rows = delay_pin_rows () in
+  Alcotest.(check (list string)) "labels" (List.map fst expected) (List.map fst rows);
+  List.iter2 (fun (label, bits) (_, v) -> Alcotest.(check string) label bits v) expected rows
+
 let suite =
   [
     Alcotest.test_case "single segment elmore" `Quick test_single_segment;
@@ -133,4 +260,5 @@ let suite =
     Alcotest.test_case "stage delay" `Quick test_stage_delay;
     Alcotest.test_case "placement-aware wiring" `Quick test_placement_distance_matters;
     Alcotest.test_case "engines consume wire delays" `Quick test_timing_engines_consume_wire_delays;
+    Alcotest.test_case "delay bits pinned" `Quick test_delay_bits_pinned;
   ]
