@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench examples clean doc quickbench serve-smoke session-smoke bench-json bench-compare lint check-smoke size-smoke scale-smoke static-smoke perfbench-selftest
+.PHONY: all build test bench examples clean doc quickbench serve-smoke session-smoke bench-json bench-compare lint check-smoke size-smoke scale-smoke static-smoke perfbench-selftest size-report
 
 all: build
 
@@ -38,6 +38,15 @@ bench-compare:
 	SPSTA_BENCH_CIRCUITS=s344,s1238 SPSTA_BENCH_RUNS=500 SPSTA_BENCH_SCALE=c100k \
 	dune exec bench/main.exe -- --json BENCH_current.json \
 	  --history BENCH_current_history.jsonl --compare BENCH_spsta.json --threshold 0.25
+
+# the code-size numbers ROADMAP.md tracks: OCaml lines in lib/ (.ml and
+# .mli), bin/ and bench/, and the optional arguments the library
+# interfaces declare.  A report, not a gate
+size-report:
+	@echo "lib lines:          $$(cat lib/*/*.ml lib/*/*.mli | wc -l)"
+	@echo "bin lines:          $$(cat bin/*.ml | wc -l)"
+	@echo "bench lines:        $$(cat bench/*.ml | wc -l)"
+	@echo "optional arguments: $$(cat lib/*/*.mli lib/spsta/analyzer_intf.ml | grep -o '?[a-z_0-9]*:' | wc -l)"
 
 # the repo benchmark (BENCHMARK.json, perfbench/) runs its own tests at
 # smoke size: every workload end to end, the output checks and the

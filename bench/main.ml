@@ -176,9 +176,12 @@ let interconnect_ablation () =
   let circuit = Experiments.Benchmarks.load "s344" in
   let spec = Experiments.Workloads.spec_fn Experiments.Workloads.Case_i in
   let wires = Spsta_interconnect.Wire_model.build circuit in
-  let delay_of = Spsta_interconnect.Wire_model.stage_delay wires in
+  let delay_rf g =
+    let d = Spsta_interconnect.Wire_model.stage_delay wires g in
+    (d, d)
+  in
   let unit_r = Analyzer.Moments.analyze circuit ~spec in
-  let loaded_r = Analyzer.Moments.analyze ~delay_of circuit ~spec in
+  let loaded_r = Analyzer.Moments.analyze ~delay_rf circuit ~spec in
   let e = Analyzer.Moments.critical_endpoint loaded_r `Rise in
   let u_mu, u_sig, _ = Analyzer.Moments.transition_stats (Analyzer.Moments.signal unit_r e) `Rise in
   let l_mu, l_sig, _ =
@@ -436,9 +439,9 @@ let wall_best f =
 
    - incremental-vs-full: from a fully analysed sized circuit, one
      trial move as the sizer pays it — [Ssta.copy] of the current
-     result plus the dirty-cone [Ssta.update_rf] on one resized gate
+     result plus the dirty-cone [Ssta.update] on one resized gate
      (averaged over the top candidate gates the sizer's inner loop
-     actually trials) — against a full [Ssta.analyze_rf] from the same
+     actually trials) — against a full [Ssta.analyze] from the same
      state: the speedup the sizer banks on every move evaluation;
    - the greedy sizer itself, recording what it bought (objective and
      area before and after, area recovered by downsizing).  The run
@@ -459,7 +462,7 @@ let json_bench_sizing circuit =
   let sized = Sized.default in
   let asg = Sized.initial circuit in
   let delay_rf id = Sized.delay_rf sized circuit asg id in
-  let t_full, r0, n_full = wall_best (fun () -> Ssta.analyze_rf ~delay_rf circuit) in
+  let t_full, r0, n_full = wall_best (fun () -> Ssta.analyze ~delay_rf circuit) in
   (* trial gates = what the sizer's inner loop evaluates: the top-ranked
      critical gates with headroom to upsize *)
   let crit = Criticality.of_ssta r0 in
@@ -478,7 +481,7 @@ let json_bench_sizing circuit =
         List.iter
           (fun g ->
             let dirty = Transform.resize_gate sized circuit asg g ~size:1 in
-            Ssta.update_rf ~delay_rf (Ssta.copy r0) ~changed:dirty;
+            Ssta.update ~delay_rf (Ssta.copy r0) ~changed:dirty;
             ignore (Transform.resize_gate sized circuit asg g ~size:0))
           candidates)
   in

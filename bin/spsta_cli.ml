@@ -56,7 +56,7 @@ let load_circuit name_or_path =
       die "%s:%d: %s" name_or_path line message
     | Spsta_netlist.Verilog_io.Parse_error { line; message } ->
       die "%s:%d: %s" name_or_path line message
-    | Circuit.Invalid_circuit message -> die "%s: invalid circuit: %s" name_or_path message
+    | Circuit.Invalid_circuit { message; _ } -> die "%s: invalid circuit: %s" name_or_path message
     | Sys_error message -> die "%s" message
   else
     try Experiments.Benchmarks.load name_or_path
@@ -562,7 +562,7 @@ let criticality_cmd =
       match domain with
       | `Ssta ->
         let result =
-          Spsta_ssta.Ssta.analyze_rf ?check
+          Spsta_ssta.Ssta.analyze ?check
             ~delay_rf:(fun id -> Cell_library.gate_delays library circuit id)
             circuit
         in

@@ -28,13 +28,13 @@ let () =
   Format.printf "circuit: %a@." Circuit.pp_summary circuit;
   let spec = Workloads.spec_fn Workloads.Case_i in
   let sized = Hashtbl.create 64 in
-  let delay_of g = if Hashtbl.mem sized g then fast else slow in
+  let delay_rf g = if Hashtbl.mem sized g then (fast, fast) else (slow, slow) in
   let clock_99 () =
-    let r = Chip_delay.compute ~delay_of circuit ~spec in
+    let r = Chip_delay.compute ~delay_rf circuit ~spec in
     Chip_delay.clock_for_yield r 0.99
   in
   let baseline_all_fast =
-    let r = Chip_delay.compute ~delay_of:(fun _ -> fast) circuit ~spec in
+    let r = Chip_delay.compute ~delay_rf:(fun _ -> (fast, fast)) circuit ~spec in
     Chip_delay.clock_for_yield r 0.99
   in
   let start = clock_99 () in
@@ -43,7 +43,7 @@ let () =
   Printf.printf
     "99%%-yield clock: all-slow %.3f, all-fast %.3f, target %.3f\n" start baseline_all_fast target;
   (* the analysis result is maintained incrementally across resizings *)
-  let analysis = ref (A.analyze ~delay_of circuit ~spec) in
+  let analysis = ref (A.analyze ~delay_rf circuit ~spec) in
   let resized = ref 0 in
   let rec optimise current =
     if current <= target then ()
@@ -77,7 +77,7 @@ let () =
         Hashtbl.replace sized g ();
         incr resized;
         (* incremental: only g's fanout cone is recomputed *)
-        analysis := A.update ~delay_of !analysis ~changed:[ g ] ~spec;
+        analysis := A.update ~delay_rf !analysis ~changed:[ g ] ~spec;
         let now = clock_99 () in
         Printf.printf "  upsized %-10s -> 99%% clock %.3f\n" (Circuit.net_name circuit g) now;
         optimise now

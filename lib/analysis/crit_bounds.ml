@@ -51,7 +51,10 @@ let backward_transfer t csr k =
 
 let no_boundary _t _circuit = false
 
-let run ?arena ?(delay_bounds = fun _ -> (1.0, 1.0)) circuit =
+let unit_bounds =
+  (Spsta_netlist.Cell_library.unit_gate_delay, Spsta_netlist.Cell_library.unit_gate_delay)
+
+let run ?arena ?(delay_bounds = fun _ -> unit_bounds) circuit =
   let arena = match arena with Some a -> a | None -> Dataflow.Arena.create circuit in
   let n = Circuit.num_nets circuit in
   let amin = Dataflow.Arena.floats arena "amin" ~init:0.0 in

@@ -74,6 +74,7 @@ let run ?arena ?constants circuit =
   t
 
 let observable t id = Bytes.get t.obs id = '\001'
+let reachable t id = Bytes.get t.reach id = '\001'
 
 let fold_dead t f =
   Array.fold_left

@@ -26,6 +26,10 @@ val run :
 
 val observable : t -> Spsta_netlist.Circuit.id -> bool
 
+val reachable : t -> Spsta_netlist.Circuit.id -> bool
+(** Plain structural reachability: some endpoint is downstream of the
+    net, whatever the constants (the [dead-logic] lint rule). *)
+
 val dead : t -> Spsta_netlist.Circuit.id list
 (** Unobservable gate-driven nets, in topological order. *)
 

@@ -1,12 +1,12 @@
 (** Numeric invariant predicates shared by the static checker
-    ({!Lint}), the engine-wired sanitizer
-    ({!Spsta_engine.Propagate.Sanitize}) checkers each analyzer builds,
+    ([Spsta_lint.Lint]), the engine-wired sanitizer
+    ({!Propagate.Sanitize}) checkers each analyzer builds,
     and the property tests.
 
     Every predicate returns [[]] (or [None]) when the value is healthy
     and a list of issues otherwise.  An issue pairs a stable rule
     identifier with a human-readable message; the sanitizer lifts the
-    first issue into a located {!Spsta_engine.Propagate.Sanitize.Violation}.
+    first issue into a located {!Propagate.Sanitize.Violation}.
 
     The paper's pipeline rests on exactly these invariants: four-value
     probabilities sum to 1 (Table 1), t.o.p. functions are non-negative
@@ -20,7 +20,7 @@ val finite : float -> bool
 
 val first : issue list -> (string * string) option
 (** The head issue as a [(rule, message)] pair — the shape
-    {!Spsta_engine.Propagate.Sanitize} checkers return. *)
+    {!Propagate.Sanitize} checkers return. *)
 
 val prob_tolerance : float
 (** Slack allowed on probability range and sum checks (1e-6): wide

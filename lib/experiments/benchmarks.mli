@@ -5,15 +5,11 @@
     with matching interface/size profiles — see DESIGN.md,
     substitution 1. *)
 
-val s27_bench_text : string
-(** The real ISCAS'89 s27 netlist in [.bench] format. *)
-
 val s27 : unit -> Spsta_netlist.Circuit.t
-
-val c17_bench_text : string
-(** The real ISCAS'85 c17 netlist (combinational, six NAND gates). *)
+(** The real ISCAS'89 s27 netlist. *)
 
 val c17 : unit -> Spsta_netlist.Circuit.t
+(** The real ISCAS'85 c17 netlist (combinational, six NAND gates). *)
 
 val evaluated_names : string list
 (** The nine circuits of Table 2/3, in paper order: s208 .. s1238. *)

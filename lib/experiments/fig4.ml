@@ -40,7 +40,7 @@ let run () =
   in
   let x1 = A.source_signal (spec sigma1) in
   let x2 = A.source_signal (spec sigma2) in
-  let y = A.gate_output ~gate_delay:0.0 Gate_kind.And [ x1; x2 ] in
+  let y = A.gate_output ~gate_delay_rf:(0.0, 0.0) Gate_kind.And [ x1; x2 ] in
   let d1 = Discrete.of_normal ~dt ~mass:1.0 (Normal.make ~mu:5.0 ~sigma:sigma1) in
   let d2 = Discrete.of_normal ~dt ~mass:1.0 (Normal.make ~mu:5.0 ~sigma:sigma2) in
   {

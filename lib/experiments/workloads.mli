@@ -7,8 +7,6 @@ val all_cases : case list
 val case_name : case -> string
 (** "I" or "II". *)
 
-val spec_of_case : case -> Spsta_sim.Input_spec.t
-
 val uniform :
   Spsta_sim.Input_spec.t -> Spsta_netlist.Circuit.id -> Spsta_sim.Input_spec.t
 (** A constant per-source spec function. *)

@@ -12,7 +12,7 @@ type params = {
 
 let default_params =
   {
-    gate_delay = 1.0;
+    gate_delay = Spsta_netlist.Cell_library.unit_gate_delay;
     driver_resistance = 0.2;
     r_per_unit = 0.1;
     c_per_unit = 0.2;
@@ -52,7 +52,6 @@ let build ?(params = default_params) ?placement circuit =
   let delays = Array.map Rc_tree.worst_elmore trees in
   { params; trees; delays }
 
-let net_tree t id = t.trees.(id)
 let net_delay t id = t.delays.(id)
 let stage_delay t id = t.params.gate_delay +. t.delays.(id)
 

@@ -8,7 +8,7 @@
     per-stage delays; see the bench interconnect ablation. *)
 
 type params = {
-  gate_delay : float;  (** intrinsic gate delay (the paper's 1.0) *)
+  gate_delay : float;  (** intrinsic gate delay (the paper's unit delay) *)
   driver_resistance : float;
   r_per_unit : float;  (** wire resistance per unit length *)
   c_per_unit : float;  (** wire capacitance per unit length *)
@@ -31,13 +31,13 @@ val build :
     model's grid size), segment lengths also scale with the Manhattan
     distance between driver and sink regions. *)
 
-val net_tree : t -> Spsta_netlist.Circuit.id -> Rc_tree.t
 val net_delay : t -> Spsta_netlist.Circuit.id -> float
 (** Worst Elmore delay of the net driven by this id (0 for loadless
     nets). *)
 
 val stage_delay : t -> Spsta_netlist.Circuit.id -> float
-(** Gate intrinsic delay plus its output net's Elmore delay: what the
-    timing engines consume as [delay_of]. *)
+(** Gate intrinsic delay plus its output net's Elmore delay.  The timing
+    engines take it as the same delay in both directions:
+    [~delay_rf:(fun g -> let d = stage_delay t g in (d, d))]. *)
 
 val total_wire_capacitance : t -> float

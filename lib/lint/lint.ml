@@ -82,7 +82,9 @@ let finding rule ?(nets = []) fmt =
 
 (* ---------- structure ---------- *)
 
-let check_structure circuit =
+(* [reachable]: some endpoint structurally depends on the net — the
+   dead-logic rule *)
+let structure_findings ~reachable circuit =
   let findings = ref [] in
   let add f = findings := f :: !findings in
   let name id = Circuit.net_name circuit id in
@@ -96,9 +98,6 @@ let check_structure circuit =
          (Circuit.name circuit));
   let endpoint = Array.make (max n 1) false in
   List.iter (fun id -> endpoint.(id) <- true) (Circuit.endpoints circuit);
-  (* without constants, observability is exactly structural reachability
-     backwards from the endpoints: the dead-logic rule *)
-  let alive = Spsta_analysis.Observability.(observable (run circuit)) in
   for id = 0 to n - 1 do
     let fanout_empty = Array.length (Circuit.fanout circuit id) = 0 in
     (match Circuit.driver circuit id with
@@ -122,23 +121,6 @@ let check_structure circuit =
              (name id))
     | Circuit.Gate { kind; inputs } ->
       let fanin = Array.length inputs in
-      let min_arity = Gate_kind.min_arity kind in
-      let arity_bad =
-        fanin < min_arity
-        ||
-        match Gate_kind.max_arity kind with
-        | Some max_arity -> fanin > max_arity
-        | None -> false
-      in
-      if arity_bad then
-        add
-          (finding "arity-mismatch" ~nets:[ name id ]
-             "gate %s: %s with fan-in %d (kind accepts %s)" (name id)
-             (Gate_kind.to_string kind) fanin
-             (match Gate_kind.max_arity kind with
-             | Some m when m = min_arity -> Printf.sprintf "exactly %d" m
-             | Some m -> Printf.sprintf "%d..%d" min_arity m
-             | None -> Printf.sprintf ">= %d" min_arity));
       if fanin > enumeration_threshold then
         add
           (finding "high-fanin" ~nets:[ name id ]
@@ -165,7 +147,7 @@ let check_structure circuit =
         add
           (finding "dangling-net" ~nets:[ name id ]
              "gate output %s drives nothing and is not an endpoint" (name id))
-      else if not (alive id) then
+      else if not (reachable id) then
         add
           (finding "dead-logic" ~nets:[ name id ]
              "no timing endpoint is reachable from gate %s; it cannot affect any \
@@ -174,26 +156,29 @@ let check_structure circuit =
   done;
   List.rev !findings
 
+let check_structure circuit =
+  structure_findings
+    ~reachable:Spsta_analysis.Observability.(reachable (run circuit))
+    circuit
+
 (* ---------- cell library ---------- *)
 
 (* The (kind, fan-in) pairs the circuit actually instantiates, in first
    appearance order — the cells whose models the analyses will read. *)
 let instantiated_pairs circuit =
-  let pairs = Hashtbl.create 16 in
-  let count = ref 0 in
+  let seen = Hashtbl.create 16 in
+  let pairs = ref [] in
   for id = 0 to Circuit.num_nets circuit - 1 do
     match Circuit.driver circuit id with
     | Circuit.Gate { kind; inputs } ->
       let key = (kind, Array.length inputs) in
-      if not (Hashtbl.mem pairs key) then begin
-        Hashtbl.add pairs key !count;
-        incr count
+      if not (Hashtbl.mem seen key) then begin
+        Hashtbl.add seen key ();
+        pairs := key :: !pairs
       end
     | Circuit.Input | Circuit.Dff_output _ -> ()
   done;
-  Hashtbl.fold (fun key order acc -> (order, key) :: acc) pairs []
-  |> List.sort compare
-  |> List.map snd
+  List.rev !pairs
 
 let check_library library circuit =
   let ordered = instantiated_pairs circuit in
@@ -203,7 +188,7 @@ let check_library library circuit =
         let label =
           Printf.sprintf "%s %s delay (fan-in %d)" (Gate_kind.to_string kind) dir fanin
         in
-        if not (Invariant.finite delay) || delay < 0.0 then
+        if not (Spsta_engine.Invariant.finite delay) || delay < 0.0 then
           [ finding "lib-invalid-delay" "%s is %h" label delay ]
         else if delay = 0.0 then
           [
@@ -228,12 +213,12 @@ let check_sized_library sized circuit =
     let bad = ref [] in
     Array.iteri
       (fun k v ->
-        if not (Invariant.finite v) || v < 0.0 then
+        if not (Spsta_engine.Invariant.finite v) || v < 0.0 then
           bad := finding "size-group" "%s at size %d is %h" what k v :: !bad)
       values;
     for k = 1 to n - 1 do
       let prev = values.(k - 1) and cur = values.(k) in
-      if Invariant.finite prev && Invariant.finite cur then begin
+      if Spsta_engine.Invariant.finite prev && Spsta_engine.Invariant.finite cur then begin
         let broken, direction =
           match law with
           | `Down -> (cur > prev, "increases")
@@ -254,11 +239,9 @@ let check_sized_library sized circuit =
         Printf.sprintf "%s %s (fan-in %d)" (Gate_kind.to_string kind) what fanin
       in
       let of_size f = Array.init n (fun k -> f ~size:k kind ~fanin) in
-      series ~what:(label "rise delay") ~law:`Down
-        (of_size (fun ~size kind ~fanin -> Sized_library.delay sized ~size kind ~fanin `Rise))
-      @ series ~what:(label "fall delay") ~law:`Down
-          (of_size (fun ~size kind ~fanin ->
-               Sized_library.delay sized ~size kind ~fanin `Fall))
+      let delays = of_size (Sized_library.rise_fall_of sized) in
+      series ~what:(label "rise delay") ~law:`Down (Array.map fst delays)
+      @ series ~what:(label "fall delay") ~law:`Down (Array.map snd delays)
       @ series ~what:(label "area") ~law:`Up (of_size (Sized_library.area sized))
       @ series ~what:(label "capacitance") ~law:`Up
           (of_size (Sized_library.capacitance sized)))
@@ -272,7 +255,7 @@ let check_spec ~spec circuit =
       let name = Circuit.net_name circuit id in
       let s : Input_spec.t = spec id in
       let probs =
-        Invariant.check_prob_sum
+        Spsta_engine.Invariant.check_prob_sum
           ~what:(Printf.sprintf "source %s probability" name)
           [
             ("p_zero", s.Input_spec.p_zero);
@@ -280,18 +263,18 @@ let check_spec ~spec circuit =
             ("p_rise", s.Input_spec.p_rise);
             ("p_fall", s.Input_spec.p_fall);
           ]
-        |> List.map (fun (issue : Invariant.issue) ->
-               finding "spec-probability" ~nets:[ name ] "%s" issue.Invariant.message)
+        |> List.map (fun (issue : Spsta_engine.Invariant.issue) ->
+               finding "spec-probability" ~nets:[ name ] "%s" issue.message)
       in
       let arrivals =
-        Invariant.check_normal
+        Spsta_engine.Invariant.check_normal
           ~what:(Printf.sprintf "source %s rise arrival" name)
           s.Input_spec.rise_arrival
-        @ Invariant.check_normal
+        @ Spsta_engine.Invariant.check_normal
             ~what:(Printf.sprintf "source %s fall arrival" name)
             s.Input_spec.fall_arrival
-        |> List.map (fun (issue : Invariant.issue) ->
-               finding "spec-arrival" ~nets:[ name ] "%s" issue.Invariant.message)
+        |> List.map (fun (issue : Spsta_engine.Invariant.issue) ->
+               finding "spec-arrival" ~nets:[ name ] "%s" issue.message)
       in
       probs @ arrivals)
     (Circuit.sources circuit)
@@ -300,11 +283,13 @@ let check_spec ~spec circuit =
 
 let check_grid ?spec ~dt ~truncate_eps circuit =
   let settings =
-    (if not (Invariant.finite dt) || dt <= 0.0 then
+    (if not (Spsta_engine.Invariant.finite dt) || dt <= 0.0 then
        [ finding "grid-dt" "grid step dt = %.17g must be finite and positive" dt ]
      else [])
     @
-    if not (Invariant.finite truncate_eps) || truncate_eps < 0.0 || truncate_eps >= 1.0
+    if
+      (not (Spsta_engine.Invariant.finite truncate_eps))
+      || truncate_eps < 0.0 || truncate_eps >= 1.0
     then
       [
         finding "grid-eps" "truncation threshold eps = %.17g must lie in [0, 1)"
@@ -337,7 +322,7 @@ let check_grid ?spec ~dt ~truncate_eps circuit =
                 (Spsta_dist.Normal.stddev s.Input_spec.rise_arrival)
                 (Spsta_dist.Normal.stddev s.Input_spec.fall_arrival)
             in
-            if Invariant.finite sigma && sigma > 0.0 && dt > sigma then
+            if Spsta_engine.Invariant.finite sigma && sigma > 0.0 && dt > sigma then
               let name = Circuit.net_name circuit id in
               Some
                 (finding "grid-dt-coarse" ~nets:[ name ]
@@ -356,13 +341,12 @@ let check_grid ?spec ~dt ~truncate_eps circuit =
    report per net like the structural rules; reconvergence is summarised
    in one finding per circuit — real netlists have hundreds of regions
    and the per-region detail belongs to `spsta static`, not lint. *)
-let check_dataflow circuit =
+let static_passes circuit =
+  Spsta_analysis.Static.run ~passes:[ `Constants; `Reconvergence; `Observability ] circuit
+
+let dataflow_findings (result : Spsta_analysis.Static.t) =
+  let circuit = result.Spsta_analysis.Static.circuit in
   let name id = Circuit.net_name circuit id in
-  let result =
-    Spsta_analysis.Static.run
-      ~passes:[ `Constants; `Reconvergence; `Observability ]
-      circuit
-  in
   let constants =
     match result.Spsta_analysis.Static.constants with
     | None -> []
@@ -422,9 +406,15 @@ let check_dataflow circuit =
   in
   constants @ unobservable @ reconvergent
 
+(* one observability walk serves both rule sets: its structural lane is
+   the dead-logic rule *)
 let check_circuit ?library ?spec ?grid circuit =
-  check_structure circuit
-  @ check_dataflow circuit
+  let static = static_passes circuit in
+  let reachable =
+    Spsta_analysis.Observability.reachable (Option.get static.Spsta_analysis.Static.observability)
+  in
+  structure_findings ~reachable circuit
+  @ dataflow_findings static
   @ (match library with
     | Some library -> check_library library circuit
     | None -> [])
@@ -436,17 +426,11 @@ let check_circuit ?library ?spec ?grid circuit =
 
 (* ---------- file-level lint ---------- *)
 
-let contains ~substring s =
-  let n = String.length s and m = String.length substring in
-  let rec scan i = i + m <= n && (String.sub s i m = substring || scan (i + 1)) in
-  m = 0 || scan 0
-
-let classify_invalid message =
-  if contains ~substring:"multiple drivers" message then "multiply-driven-net"
-  else if contains ~substring:"never driven" message then "undriven-net"
-  else if contains ~substring:"cycle" message then "combinational-cycle"
-  else if contains ~substring:"fan-in" message then "arity-mismatch"
-  else "invalid-circuit"
+let rule_of_violation = function
+  | Circuit.Multiple_drivers -> "multiply-driven-net"
+  | Circuit.Undriven -> "undriven-net"
+  | Circuit.Cycle -> "combinational-cycle"
+  | Circuit.Arity -> "arity-mismatch"
 
 let has_extension path ext =
   Filename.check_suffix (String.lowercase_ascii path) ext
@@ -463,8 +447,8 @@ let lint_path ?library ?spec ?grid path =
     [ finding "parse-error" "%s:%d: %s" path line message ]
   | exception Verilog_io.Parse_error { line; message } ->
     [ finding "parse-error" "%s:%d: %s" path line message ]
-  | exception Circuit.Invalid_circuit message ->
-    [ finding (classify_invalid message) "%s: %s" path message ]
+  | exception Circuit.Invalid_circuit { violation; message } ->
+    [ finding (rule_of_violation violation) "%s: %s" path message ]
 
 (* ---------- reporting ---------- *)
 

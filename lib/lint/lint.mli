@@ -32,8 +32,9 @@ val rules : (string * severity * string) list
 
 val check_structure : Spsta_netlist.Circuit.t -> finding list
 (** Structural rules over a finalized circuit: [no-endpoints],
-    [no-sources], [arity-mismatch], [duplicate-fanin], [dff-self-loop],
-    [unused-input], [dangling-net], [dead-logic], [high-fanin]. *)
+    [no-sources], [duplicate-fanin], [dff-self-loop], [unused-input],
+    [dangling-net], [dead-logic], [high-fanin] (arity is the builder's,
+    so [arity-mismatch] comes from {!lint_path}). *)
 
 val check_library :
   Spsta_netlist.Cell_library.t -> Spsta_netlist.Circuit.t -> finding list
@@ -48,15 +49,6 @@ val check_sized_library :
     switched capacitance non-decreasing along the drive-strength
     ladder.  Catches custom scaling hooks that break the laws
     {!Spsta_netlist.Sized_library.make} trusts. *)
-
-val check_dataflow : Spsta_netlist.Circuit.t -> finding list
-(** Rules powered by the {!Spsta_analysis} dataflow passes:
-    [constant-logic] (one finding per gate net statically tied to 0/1),
-    [unobservable-logic] (one per gate masked from every endpoint by
-    constant downstream logic — the constant-aware sharpening of
-    [dead-logic]), and [reconvergent-fanout] (one summary finding per
-    circuit naming the region count, the eq.-5-unsound net count and
-    the widest region; per-region detail lives in [spsta static]). *)
 
 val check_spec :
   spec:(Spsta_netlist.Circuit.id -> Spsta_sim.Input_spec.t) ->
@@ -85,8 +77,11 @@ val check_circuit :
   ?grid:float * float ->
   Spsta_netlist.Circuit.t ->
   finding list
-(** All applicable rule groups (structural, dataflow, and the model
-    rules whose inputs were supplied); [grid] is [(dt, truncate_eps)]. *)
+(** All applicable rule groups: structural ({!check_structure}), the
+    dataflow rules [constant-logic], [unobservable-logic] and
+    [reconvergent-fanout] (one {!Spsta_analysis} run, whose structural
+    lane also decides [dead-logic]), and the model rules whose inputs
+    were supplied; [grid] is [(dt, truncate_eps)]. *)
 
 val lint_path :
   ?library:Spsta_netlist.Cell_library.t ->
@@ -96,9 +91,10 @@ val lint_path :
   finding list
 (** Parse a [.bench] / [.v] netlist file and lint it.  Parser and
     builder rejections become [Error] findings: [io-error],
-    [parse-error], [undriven-net], [multiply-driven-net],
-    [arity-mismatch], [combinational-cycle] (nets named), or
-    [invalid-circuit] for anything unclassified. *)
+    [parse-error], or the rule of the builder's
+    {!Spsta_netlist.Circuit.violation} — [undriven-net],
+    [multiply-driven-net], [arity-mismatch] or [combinational-cycle]
+    (nets named). *)
 
 val count : severity -> finding list -> int
 val has_errors : finding list -> bool

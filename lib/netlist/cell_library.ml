@@ -18,8 +18,10 @@ let validate t =
 
 let make ~base ~per_input ~rise_fall_skew = validate { base; per_input; rise_fall_skew }
 
+let unit_gate_delay = 1.0
+
 let unit_delay =
-  make ~base:(fun _ -> 1.0) ~per_input:(fun _ -> 0.0) ~rise_fall_skew:(fun _ -> 0.0)
+  make ~base:(fun _ -> unit_gate_delay) ~per_input:(fun _ -> 0.0) ~rise_fall_skew:(fun _ -> 0.0)
 
 let default =
   let base = function
@@ -54,10 +56,6 @@ let delay t kind ~fanin direction =
   | `Fall -> d *. (1.0 -. t.rise_fall_skew kind)
 
 let rise_fall_of t kind ~fanin = (delay t kind ~fanin `Rise, delay t kind ~fanin `Fall)
-
-let mean_delay t kind ~fanin =
-  let r, f = rise_fall_of t kind ~fanin in
-  (r +. f) /. 2.0
 
 let gate_delays t circuit id =
   match Circuit.driver circuit id with

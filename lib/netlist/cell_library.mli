@@ -10,8 +10,12 @@
 
 type t
 
+val unit_gate_delay : float
+(** The paper's delay model (Table 2): 1.0 per gate, nothing per net —
+    the delay of every analysis that is given no per-gate delay. *)
+
 val unit_delay : t
-(** The paper's model: every delay is exactly 1.0. *)
+(** The paper's model: every delay is exactly {!unit_gate_delay}. *)
 
 val default : t
 (** A generic library: inverters fastest, XOR slowest, fan-in adds ~15%
@@ -29,10 +33,6 @@ val delay : t -> Spsta_logic.Gate_kind.t -> fanin:int -> [ `Rise | `Fall ] -> fl
 
 val rise_fall_of : t -> Spsta_logic.Gate_kind.t -> fanin:int -> float * float
 (** (rise delay, fall delay). *)
-
-val mean_delay : t -> Spsta_logic.Gate_kind.t -> fanin:int -> float
-(** Average of rise and fall — a direction-less summary for engines that
-    take a single per-gate delay. *)
 
 val gate_delays :
   t -> Circuit.t -> Circuit.id -> float * float

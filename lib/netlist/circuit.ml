@@ -5,9 +5,12 @@ type driver =
   | Dff_output of { data : id }
   | Gate of { kind : Spsta_logic.Gate_kind.t; inputs : id array }
 
-exception Invalid_circuit of string
+type violation = Multiple_drivers | Undriven | Cycle | Arity
 
-let invalid fmt = Printf.ksprintf (fun s -> raise (Invalid_circuit s)) fmt
+exception Invalid_circuit of { violation : violation; message : string }
+
+let invalid violation fmt =
+  Printf.ksprintf (fun message -> raise (Invalid_circuit { violation; message })) fmt
 
 (* Flat struct-of-arrays view of the gates for kernels whose inner loop
    must not chase [driver] record pointers: gate [k] (in topological
@@ -66,7 +69,7 @@ module Builder = struct
      a declared net up by name again: at a million gates the repeated
      string-keyed [Hashtbl.find]s were a measurable slice of build time *)
   let declare b name pending =
-    if Hashtbl.mem b.table name then invalid "net %s has multiple drivers" name;
+    if Hashtbl.mem b.table name then invalid Multiple_drivers "net %s has multiple drivers" name;
     Hashtbl.replace b.table name pending;
     b.order <- (name, pending) :: b.order
 
@@ -81,12 +84,12 @@ module Builder = struct
   let add_gate b ~output kind inputs =
     let n = List.length inputs in
     if n < Spsta_logic.Gate_kind.min_arity kind then
-      invalid "gate %s driving %s: fan-in %d below minimum" (Spsta_logic.Gate_kind.to_string kind)
-        output n;
+      invalid Arity "gate %s driving %s: fan-in %d below minimum"
+        (Spsta_logic.Gate_kind.to_string kind) output n;
     (match Spsta_logic.Gate_kind.max_arity kind with
     | Some m when n > m ->
-      invalid "gate %s driving %s: fan-in %d above maximum" (Spsta_logic.Gate_kind.to_string kind)
-        output n
+      invalid Arity "gate %s driving %s: fan-in %d above maximum"
+        (Spsta_logic.Gate_kind.to_string kind) output n
     | Some _ | None -> ());
     declare b output (P_gate (kind, inputs));
     List.iter (reference b) inputs
@@ -183,7 +186,7 @@ module Builder = struct
         Array.to_list (Array.mapi (fun i s -> (i, s)) stuck)
         |> List.filter_map (fun (i, s) -> if s then Some names.(i) else None)
       in
-      invalid "combinational cycle detected among nets: %s" (String.concat ", " on_cycle)
+      invalid Cycle "combinational cycle detected among nets: %s" (String.concat ", " on_cycle)
     end;
     Array.sub order 0 !gates
 
@@ -191,10 +194,12 @@ module Builder = struct
     let order = Array.of_list (List.rev b.order) in
     (* every referenced net must be driven *)
     Hashtbl.iter
-      (fun name () -> if not (Hashtbl.mem b.table name) then invalid "net %s is referenced but never driven" name)
+      (fun name () ->
+        if not (Hashtbl.mem b.table name) then
+          invalid Undriven "net %s is referenced but never driven" name)
       b.referenced;
     List.iter
-      (fun name -> if not (Hashtbl.mem b.table name) then invalid "output %s is never driven" name)
+      (fun name -> if not (Hashtbl.mem b.table name) then invalid Undriven "output %s is never driven" name)
       (List.rev b.outs);
     let names = Array.map fst order in
     let ids = Hashtbl.create (Array.length names) in
@@ -202,7 +207,7 @@ module Builder = struct
     let id_of name =
       match Hashtbl.find_opt ids name with
       | Some i -> i
-      | None -> invalid "net %s is referenced but never driven" name
+      | None -> invalid Undriven "net %s is referenced but never driven" name
     in
     let drivers =
       Array.map

@@ -16,9 +16,17 @@ type driver =
 
 type t
 
-exception Invalid_circuit of string
-(** Raised by {!Builder.finalize} on undriven nets, arity violations,
-    duplicate drivers, or combinational cycles. *)
+(** The structural rule a rejected netlist breaks. *)
+type violation =
+  | Multiple_drivers  (** a net has more than one driver *)
+  | Undriven  (** a referenced net or an output has no driver *)
+  | Cycle  (** gates form a combinational loop *)
+  | Arity  (** a gate's fan-in is outside its kind's bounds *)
+
+exception Invalid_circuit of { violation : violation; message : string }
+(** Raised by the {!Builder} on undriven nets, arity violations,
+    duplicate drivers, or combinational cycles.  [message] names the
+    nets; callers classify by [violation], never by the text. *)
 
 module Builder : sig
   type circuit := t

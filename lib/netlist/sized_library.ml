@@ -72,10 +72,6 @@ let delay t ~size kind ~fanin direction =
 let rise_fall_of t ~size kind ~fanin =
   (delay t ~size kind ~fanin `Rise, delay t ~size kind ~fanin `Fall)
 
-let mean_delay t ~size kind ~fanin =
-  let r, f = rise_fall_of t ~size kind ~fanin in
-  (r +. f) /. 2.0
-
 (* Fan-in widens the cell: extra input stacks add ~25% of the unit area
    each, matching the library's per-input delay increments in spirit. *)
 let fanin_factor fanin = 1.0 +. (0.25 *. float_of_int (max 0 (fanin - 1)))

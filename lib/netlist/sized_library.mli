@@ -60,9 +60,6 @@ val delay :
 
 val rise_fall_of : t -> size:int -> Spsta_logic.Gate_kind.t -> fanin:int -> float * float
 
-val mean_delay : t -> size:int -> Spsta_logic.Gate_kind.t -> fanin:int -> float
-(** Average of rise and fall at the given size. *)
-
 val area : t -> size:int -> Spsta_logic.Gate_kind.t -> fanin:int -> float
 (** Cell area (arbitrary units) of the sized variant. *)
 

@@ -26,7 +26,7 @@ val resize_gate :
   Circuit.id list
 (** Swap the cell driving this net for the [size]-indexed variant of its
     size group, in place, and return the dirty net set to hand to the
-    incremental analyzers ([Ssta.update_rf] / [Propagate.update]).  The
+    incremental analyzers ([Ssta.update] / [Propagate.update]).  The
     delay model is load-independent, so only the gate's own output net is
     dirtied; returns [[]] when the gate already has that size.  Raises
     [Invalid_argument] if the net is not gate-driven or [size] is outside

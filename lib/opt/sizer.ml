@@ -98,7 +98,7 @@ let run ?(config = default_config) ?check ?initial ?prune sized circuit =
   in
   let delay_rf id = Sized_library.delay_rf sized circuit asg id in
   let objective result = Normal.quantile (chip_normal ~endpoints result) config.quantile in
-  let result = ref (Ssta.analyze_rf ~delay_rf ?check circuit) in
+  let result = ref (Ssta.analyze ~delay_rf ?check circuit) in
   let evaluations = ref 0 in
   let phi = ref (objective !result) in
   let area = ref (Sized_library.total_area sized circuit asg) in
@@ -132,7 +132,7 @@ let run ?(config = default_config) ?check ?initial ?prune sized circuit =
     let before = asg.(g) in
     let dirty = Transform.resize_gate sized circuit asg g ~size in
     let r' = Ssta.copy !result in
-    Ssta.update_rf ~delay_rf ?check r' ~changed:dirty;
+    Ssta.update ~delay_rf ?check r' ~changed:dirty;
     incr evaluations;
     let phi' = objective r' in
     let area_trial = Sized_library.gate_area sized circuit asg g in

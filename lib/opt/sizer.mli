@@ -12,7 +12,7 @@
     density) and downsizes every gate the objective can spare.
 
     Every candidate move is evaluated with
-    {!Spsta_ssta.Ssta.update_rf} dirty-cone incremental re-analysis on
+    {!Spsta_ssta.Ssta.update} dirty-cone incremental re-analysis on
     an {!Spsta_ssta.Ssta.copy} of the current result, which a committed
     move adopts; the only full propagation is the initial one.  The loop is free of
     randomness and breaks all ties on net id, so a fixed (circuit,

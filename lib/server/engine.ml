@@ -320,7 +320,7 @@ let execute ?(domains = 1) ?sessions (cache : Cache.t) (request : Protocol.reque
     Protocol.Error { id = Some request.Protocol.id; code; message }
   | Cache.Load_error { code; message } ->
     Protocol.Error { id = Some request.Protocol.id; code; message }
-  | Circuit.Invalid_circuit message ->
+  | Circuit.Invalid_circuit { message; _ } ->
     Protocol.Error { id = Some request.Protocol.id; code = Protocol.Parse_failure; message }
   | Spsta_engine.Propagate.Sanitize.Violation _ as e ->
     Protocol.Error

@@ -4,7 +4,7 @@
    answers a stream of ECO mutations — resize a gate within its
    drive-strength family, retype a gate in place, replace a timing
    source's arrival statistics — each with a dirty-cone incremental
-   re-analysis ({!Spsta_ssta.Ssta.update_rf}) that refines the session's
+   re-analysis ({!Spsta_ssta.Ssta.update}) that refines the session's
    result in place, so a mutation costs its cone and nothing more.  The
    session owns a *private copy* of the circuit: retype mutates driver
    records in place, and the cache's circuit object is shared with
@@ -76,7 +76,7 @@ let delay_rf s id = Sized.delay_rf s.sized s.circuit s.assignment id
 
 let timed_analyze ~delay_rf ~arrival_of circuit =
   let start = now () in
-  let result = Ssta.analyze_rf ~delay_rf ~input_arrival_of:arrival_of circuit in
+  let result = Ssta.analyze ~delay_rf ~input_arrival_of:arrival_of circuit in
   (result, (now () -. start) *. 1000.0)
 
 let full_analyze s = timed_analyze ~delay_rf:(delay_rf s) ~arrival_of:(arrival_of s) s.circuit
@@ -233,7 +233,7 @@ let mutate reg session (m : Protocol.mutation) =
         delay_rf s id
       in
       let start = now () in
-      Ssta.update_rf ~delay_rf:counting_delay ~input_arrival_of:(arrival_of s) s.result ~changed;
+      Ssta.update ~delay_rf:counting_delay ~input_arrival_of:(arrival_of s) s.result ~changed;
       (now () -. start) *. 1000.0
   in
   s.mutations <- s.mutations + 1;

@@ -2,6 +2,7 @@ module Circuit = Spsta_netlist.Circuit
 module Value4 = Spsta_logic.Value4
 module Gate_kind = Spsta_logic.Gate_kind
 module Heap = Spsta_util.Heap
+module Cell_library = Spsta_netlist.Cell_library
 
 type waveform = { initial : bool; changes : (float * bool) list }
 
@@ -19,8 +20,7 @@ type event = {
 
 type result = { circuit : Circuit.t; waveforms : waveform array }
 
-let run ?(gate_delay = 1.0) ?delay_of ?(inertial = 0.0) circuit ~source_values =
-  let delay_of = match delay_of with Some f -> f | None -> fun _ -> gate_delay in
+let run ?(inertial = 0.0) circuit ~source_values =
   let n = Circuit.num_nets circuit in
   let values = Array.make n false in
   let changes = Array.make n [] in
@@ -77,7 +77,7 @@ let run ?(gate_delay = 1.0) ?delay_of ?(inertial = 0.0) circuit ~source_values =
           let o =
             Gate_kind.eval_bool kind (Array.to_list (Array.map (fun i -> values.(i)) inputs))
           in
-          schedule out (time +. delay_of out) o
+          schedule out (time +. Cell_library.unit_gate_delay) o
         | Circuit.Dff_output _ -> () (* captured at the next clock edge *)
         | Circuit.Input -> assert false)
       (Circuit.fanout circuit net)

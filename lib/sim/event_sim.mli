@@ -27,14 +27,13 @@ val settle_time : waveform -> float
 type result
 
 val run :
-  ?gate_delay:float ->
-  ?delay_of:(Spsta_netlist.Circuit.id -> float) ->
   ?inertial:float ->
   Spsta_netlist.Circuit.t ->
   source_values:(Spsta_netlist.Circuit.id -> Spsta_logic.Value4.t * float) ->
   result
-(** Same interface as {!Logic_sim.run}: each source contributes its
-    start level and (for r/f values) one transition at the given time.
+(** Same interface as {!Logic_sim.run}, at the unit gate delay: each
+    source contributes its start level and (for r/f values) one
+    transition at the given time.
     [inertial] (default 0) cancels a *pending* output change when a new
     one is scheduled within the window — the standard gate-level
     filtering, effective for input spacings below the gate delay plus

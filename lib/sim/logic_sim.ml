@@ -2,21 +2,21 @@ module Circuit = Spsta_netlist.Circuit
 module Value4 = Spsta_logic.Value4
 module Gate_kind = Spsta_logic.Gate_kind
 module Timing_rule = Spsta_logic.Timing_rule
+module Cell_library = Spsta_netlist.Cell_library
 
 type result = { values : Value4.t array; times : float array }
 
-let run ?(gate_delay = 1.0) ?delay_of ?delay_rf ?mis circuit ~source_values =
-  let delay_of = match delay_of with Some f -> f | None -> fun _ -> gate_delay in
-  let delay_for g out =
-    match delay_rf with
-    | Some f ->
-      let rise, fall = f g in
-      ( match out with
-      | Value4.Rising -> rise
-      | Value4.Falling -> fall
-      | Value4.Zero | Value4.One -> 0.0 )
-    | None -> delay_of g
-  in
+(* the delay of gate [g]'s [out] transition: the caller's (rise, fall)
+   pair, else the paper's unit delay *)
+let delay_for delay_rf g out =
+  match delay_rf with
+  | None -> Cell_library.unit_gate_delay
+  | Some f ->
+    let rise, fall = f g in
+    if Value4.equal out Value4.Rising then rise else fall
+
+let run ?delay_rf ?mis circuit ~source_values =
+  let delay_for = delay_for delay_rf in
   let n = Circuit.num_nets circuit in
   let values = Array.make n Value4.Zero in
   let times = Array.make n 0.0 in
@@ -62,16 +62,16 @@ let run ?(gate_delay = 1.0) ?delay_of ?delay_rf ?mis circuit ~source_values =
     (Circuit.topo_gates circuit);
   { values; times }
 
-let run_random ?(gate_delay = 1.0) ?(delay_sigma = 0.0) ?mis rng circuit ~spec =
-  let delay_of =
+let run_random ?(delay_sigma = 0.0) ?mis rng circuit ~spec =
+  let delay_rf =
     if delay_sigma > 0.0 then begin
       (* one independent delay sample per gate for this run *)
       let delays =
         Array.init (Circuit.num_nets circuit) (fun _ ->
-            Spsta_util.Rng.gaussian rng ~mu:gate_delay ~sigma:delay_sigma)
+            Spsta_util.Rng.gaussian rng ~mu:Cell_library.unit_gate_delay ~sigma:delay_sigma)
       in
-      Some (fun g -> delays.(g))
+      Some (fun g -> (delays.(g), delays.(g)))
     end
     else None
   in
-  run ~gate_delay ?delay_of ?mis circuit ~source_values:(fun s -> Input_spec.sample rng (spec s))
+  run ?delay_rf ?mis circuit ~source_values:(fun s -> Input_spec.sample rng (spec s))

@@ -16,8 +16,6 @@ type result = {
 }
 
 val run :
-  ?gate_delay:float ->
-  ?delay_of:(Spsta_netlist.Circuit.id -> float) ->
   ?delay_rf:(Spsta_netlist.Circuit.id -> float * float) ->
   ?mis:Spsta_logic.Mis_model.t ->
   Spsta_netlist.Circuit.t ->
@@ -25,14 +23,11 @@ val run :
   result
 (** [run circuit ~source_values] assigns each source net the given
     four-value symbol and arrival time, then evaluates every gate in
-    topological order.  [gate_delay] defaults to 1.0 (the paper's unit
-    gate delay; net delays are zero); [delay_of] overrides the delay per
-    gate (e.g. a per-run process-variation sample); [delay_rf] gives
-    direction-dependent (rise, fall) delays (e.g. a {!Spsta_netlist.Cell_library})
-    and takes precedence over both. *)
+    topological order.  [delay_rf] gives each gate's (rise, fall) delay
+    (e.g. a {!Spsta_netlist.Cell_library}); without it every gate has
+    the paper's unit delay and net delays are zero. *)
 
 val run_random :
-  ?gate_delay:float ->
   ?delay_sigma:float ->
   ?mis:Spsta_logic.Mis_model.t ->
   Spsta_util.Rng.t ->
@@ -41,6 +36,6 @@ val run_random :
   result
 (** Draw every source independently from its {!Input_spec.t} and
     simulate.  A positive [delay_sigma] draws every gate's delay from
-    N(gate_delay, delay_sigma) independently for this run (process
+    N(1, delay_sigma) independently for this run (process
     variation for a concrete input vector — the paper's §1 point that
     variation effects differ per vector). *)

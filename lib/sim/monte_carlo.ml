@@ -98,12 +98,12 @@ let finish_chunk ~circuit ~runs accs =
 
 (* ---- scalar engine: one Logic_sim trial per substream ---- *)
 
-let scalar_chunk ?gate_delay ?delay_sigma ?mis ~seed ~lo ~hi circuit ~spec =
+let scalar_chunk ?delay_sigma ?mis ~seed ~lo ~hi circuit ~spec =
   let n = Circuit.num_nets circuit in
   let accs = fresh_accs n in
   for run = lo to hi - 1 do
     let rng = Rng.stream ~seed run in
-    let r = Logic_sim.run_random ?gate_delay ?delay_sigma ?mis rng circuit ~spec in
+    let r = Logic_sim.run_random ?delay_sigma ?mis rng circuit ~spec in
     let values = r.Logic_sim.values and times = r.Logic_sim.times in
     for i = 0 to n - 1 do
       let a = accs.(i) in
@@ -145,7 +145,7 @@ let[@inline] add_masked_times acc mask times tbase =
     acc_add acc (Array.unsafe_get times (tbase + l))
   done
 
-let packed_chunk ?gate_delay ?delay_sigma ?mis ~seed ~lo ~hi sim ~spec =
+let packed_chunk ?delay_sigma ?mis ~seed ~lo ~hi sim ~spec =
   let circuit = Packed_sim.circuit sim in
   let n = Circuit.num_nets circuit in
   let accs = fresh_accs n in
@@ -156,7 +156,7 @@ let packed_chunk ?gate_delay ?delay_sigma ?mis ~seed ~lo ~hi sim ~spec =
     let k = min 64 (hi - !base) in
     let b0 = !base in
     let rngs = Array.init k (fun l -> Rng.stream ~seed (b0 + l)) in
-    Packed_sim.run ?gate_delay ?delay_sigma ?mis sim ~rngs ~spec;
+    Packed_sim.run ?delay_sigma ?mis sim ~rngs ~spec;
     let act_lo = if k >= 32 then mask32 else (1 lsl k) - 1 in
     let act_hi = if k <= 32 then 0 else (1 lsl (k - 32)) - 1 in
     for i = 0 to n - 1 do
@@ -213,21 +213,9 @@ let rec reduce_tree slots lo hi =
     merge (reduce_tree slots lo (lo + !p)) (reduce_tree slots (lo + !p) hi)
   end
 
-let empty_result circuit =
-  let empty _ =
-    {
-      n_runs = 0;
-      count_zero = 0;
-      count_one = 0;
-      count_rise = 0;
-      count_fall = 0;
-      rise_times = Stats.acc_create ();
-      fall_times = Stats.acc_create ();
-    }
-  in
-  { circuit; runs = 0; per_net = Array.init (Circuit.num_nets circuit) empty }
+let empty_result circuit = finish_chunk ~circuit ~runs:0 (fresh_accs (Circuit.num_nets circuit))
 
-let simulate ?gate_delay ?delay_sigma ?mis ?(runs = 10_000) ?(engine = `Packed) ?(domains = 1)
+let simulate ?delay_sigma ?mis ?(runs = 10_000) ?(engine = `Packed) ?(domains = 1)
     ~seed circuit ~spec =
   if runs < 0 then invalid_arg "Monte_carlo.simulate: negative runs";
   if domains < 1 then invalid_arg "Monte_carlo.simulate: domains must be positive";
@@ -240,10 +228,10 @@ let simulate ?gate_delay ?delay_sigma ?mis ?(runs = 10_000) ?(engine = `Packed) 
       let chunk =
         match engine with
         | `Scalar ->
-          fun ~lo ~hi -> scalar_chunk ?gate_delay ?delay_sigma ?mis ~seed ~lo ~hi circuit ~spec
+          fun ~lo ~hi -> scalar_chunk ?delay_sigma ?mis ~seed ~lo ~hi circuit ~spec
         | `Packed ->
           let sim = Packed_sim.create circuit in
-          fun ~lo ~hi -> packed_chunk ?gate_delay ?delay_sigma ?mis ~seed ~lo ~hi sim ~spec
+          fun ~lo ~hi -> packed_chunk ?delay_sigma ?mis ~seed ~lo ~hi sim ~spec
       in
       for c = lo to hi - 1 do
         slots.(c) <- chunk ~lo:(c * chunk_runs) ~hi:(min runs ((c + 1) * chunk_runs))

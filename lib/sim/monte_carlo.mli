@@ -39,7 +39,6 @@ type result = {
 }
 
 val simulate :
-  ?gate_delay:float ->
   ?delay_sigma:float ->
   ?mis:Spsta_logic.Mis_model.t ->
   ?runs:int ->
@@ -50,7 +49,7 @@ val simulate :
   spec:(Spsta_netlist.Circuit.id -> Input_spec.t) ->
   result
 (** [runs] defaults to 10_000, matching the paper.  [delay_sigma] adds
-    independent N(gate_delay, delay_sigma) process variation per gate
+    independent N(1, delay_sigma) process variation per gate
     per run (default 0).  [engine] defaults to [`Packed], the
     bit-parallel fast path; [`Scalar] is the oracle and produces
     bit-identical results.  [domains] (default 1) spreads the trial

@@ -4,6 +4,7 @@ module Gate_kind = Spsta_logic.Gate_kind
 module Timing_rule = Spsta_logic.Timing_rule
 module Mis_model = Spsta_logic.Mis_model
 module Rng = Spsta_util.Rng
+module Cell_library = Spsta_netlist.Cell_library
 
 (* The hot loops run on native ints, not Int64: every Int64 operation
    allocates a box without flambda, while a 64-lane block split into two
@@ -105,7 +106,7 @@ let ntz_table =
    Float.max fold on every value the simulator produces (times are never
    NaN, and a -0.0 can only enter via a user-supplied -0.0 arrival
    mean). *)
-let timing_half t ins ni tmask minmask lane_base itrans_half gate_delay have_sigma mis gbase =
+let timing_half t ins ni tmask minmask lane_base itrans_half have_sigma mis gbase =
   let times = t.times in
   let delays = t.delays in
   let m = ref tmask in
@@ -131,7 +132,9 @@ let timing_half t ins ni tmask minmask lane_base itrans_half gate_delay have_sig
         end
       done;
     let winner = !w in
-    let d = if have_sigma then Array.unsafe_get delays (gbase + l) else gate_delay in
+    let d =
+      if have_sigma then Array.unsafe_get delays (gbase + l) else Cell_library.unit_gate_delay
+    in
     let d =
       match mis with
       | None -> d
@@ -150,7 +153,7 @@ let timing_half t ins ni tmask minmask lane_base itrans_half gate_delay have_sig
     Array.unsafe_set times (gbase + l) (winner +. d)
   done
 
-let run ?(gate_delay = 1.0) ?(delay_sigma = 0.0) ?mis t ~rngs ~spec =
+let run ?(delay_sigma = 0.0) ?mis t ~rngs ~spec =
   let k = Array.length rngs in
   if k < 1 || k > 64 then invalid_arg "Packed_sim.run: need 1..64 lane generators";
   t.nlanes <- k;
@@ -165,7 +168,8 @@ let run ?(gate_delay = 1.0) ?(delay_sigma = 0.0) ?mis t ~rngs ~spec =
     for l = 0 to k - 1 do
       let rng = rngs.(l) in
       for i = 0 to t.n - 1 do
-        delays.((i * 64) + l) <- Rng.gaussian rng ~mu:gate_delay ~sigma:delay_sigma
+        delays.((i * 64) + l) <-
+          Rng.gaussian rng ~mu:Cell_library.unit_gate_delay ~sigma:delay_sigma
       done
     done
   end;
@@ -294,9 +298,9 @@ let run ?(gate_delay = 1.0) ?(delay_sigma = 0.0) ?mis t ~rngs ~spec =
       done;
       let gbase = gout * 64 in
       if tr_lo <> 0 then
-        timing_half t ins ni tr_lo min_lo 0 itrans_lo gate_delay have_sigma mis gbase;
+        timing_half t ins ni tr_lo min_lo 0 itrans_lo have_sigma mis gbase;
       if tr_hi <> 0 then
-        timing_half t ins ni tr_hi min_hi 32 itrans_hi gate_delay have_sigma mis (gbase + 32)
+        timing_half t ins ni tr_hi min_hi 32 itrans_hi have_sigma mis (gbase + 32)
     end
   done
 

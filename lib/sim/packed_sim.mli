@@ -23,7 +23,6 @@ val create : Spsta_netlist.Circuit.t -> t
 val circuit : t -> Spsta_netlist.Circuit.t
 
 val run :
-  ?gate_delay:float ->
   ?delay_sigma:float ->
   ?mis:Spsta_logic.Mis_model.t ->
   t ->
@@ -32,7 +31,7 @@ val run :
   unit
 (** Simulate one block of [Array.length rngs] trials (1..64); lane [l]
     draws from [rngs.(l)], which is advanced in place.  Defaults match
-    {!Logic_sim.run_random}: [gate_delay] 1.0, [delay_sigma] 0.
+    {!Logic_sim.run_random}: unit gate delay, [delay_sigma] 0.
     [spec] is assumed pure (it is consulted once per source per call,
     not once per lane).  Raises [Invalid_argument] on an empty or
     oversized [rngs]. *)

@@ -18,7 +18,7 @@ type acc = {
   fall_acc : Stats.acc;
 }
 
-let simulate ?gate_delay ?(warmup = 200) ?(cycles = 10_000) ~seed circuit ~pi_spec =
+let simulate ?(warmup = 200) ?(cycles = 10_000) ~seed circuit ~pi_spec =
   let rng = Rng.create ~seed in
   let dffs = Array.of_list (Circuit.dffs circuit) in
   let n_ff = Array.length dffs in
@@ -53,7 +53,7 @@ let simulate ?gate_delay ?(warmup = 200) ?(cycles = 10_000) ~seed circuit ~pi_sp
     done
   in
   let step ~measure =
-    let r = Logic_sim.run ?gate_delay circuit ~source_values in
+    let r = Logic_sim.run circuit ~source_values in
     if measure then record r;
     (* capture: D's settled end-of-cycle value becomes next state *)
     Array.iteri

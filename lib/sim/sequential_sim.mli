@@ -16,7 +16,6 @@ type result = {
 }
 
 val simulate :
-  ?gate_delay:float ->
   ?warmup:int ->
   ?cycles:int ->
   seed:int ->

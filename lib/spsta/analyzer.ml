@@ -9,6 +9,13 @@ module type S = Analyzer_intf.S
 
 let default_max_enumerated_fanin = 6
 
+(* A gate's (rise, fall) delay, for both engines: the caller's, else
+   the paper's unit delay (a shared constant, so no allocation). *)
+let unit_rf =
+  (Spsta_netlist.Cell_library.unit_gate_delay, Spsta_netlist.Cell_library.unit_gate_delay)
+
+let gate_delays delay_rf g = match delay_rf with Some f -> f g | None -> unit_rf
+
 (* Endpoint with the largest normalised mean arrival among those whose
    transition probability is nonzero, else the deepest endpoint. *)
 let critical_endpoint_by circuit ~total ~mean =
@@ -139,14 +146,11 @@ module Make (B : Top.BACKEND) = struct
         rise = (if d_rise = 0.0 then s.rise else B.shift s.rise d_rise);
         fall = (if d_fall = 0.0 then s.fall else B.shift s.fall d_fall) }
 
-  let gate_output ?(gate_delay = 1.0) ?gate_delay_rf ?(delay_sigma = 0.0) ?mis
+  let gate_output ?(gate_delay_rf = unit_rf) ?(delay_sigma = 0.0) ?mis
       ?(max_enumerated_fanin = default_max_enumerated_fanin) kind inputs =
     if inputs = [] then invalid_arg "Analyzer.gate_output: no inputs";
     let base = base_kind kind in
     let inputs = Array.of_list inputs in
-    let delays =
-      match gate_delay_rf with Some rf -> rf | None -> (gate_delay, gate_delay)
-    in
     let extra_term_delay =
       (* MIS: a term decided by k simultaneous switching inputs gets its
          direction's delay scaled; the base enumeration's output
@@ -154,7 +158,7 @@ module Make (B : Top.BACKEND) = struct
       match mis with
       | None -> None
       | Some model ->
-        let d_rise, d_fall = delays in
+        let d_rise, d_fall = gate_delay_rf in
         Some
           (fun rule out k ->
             let final_out = if Gate_kind.inverting kind then Value4.lnot out else out in
@@ -186,7 +190,7 @@ module Make (B : Top.BACKEND) = struct
       | Gate_kind.Nand | Gate_kind.Nor | Gate_kind.Xnor | Gate_kind.Not -> assert false
     in
     let combined = if Gate_kind.inverting kind then invert_signal combined else combined in
-    shift_signal combined delays delay_sigma
+    shift_signal combined gate_delay_rf delay_sigma
 
   type result = signal Propagate.result
 
@@ -199,7 +203,7 @@ module Make (B : Top.BACKEND) = struct
      to zero mass still count toward the probability but not the mass. *)
   let signal_check : signal Propagate.Sanitize.check =
     fun _circuit _id s ->
-    let open Spsta_lint.Invariant in
+    let open Spsta_engine.Invariant in
     let direction label p top =
       match B.check ~what:(label ^ " t.o.p.") top with
       | Some _ as violation -> violation
@@ -231,32 +235,28 @@ module Make (B : Top.BACKEND) = struct
      parameters: a pure function of the gate's operand signals, which is
      what makes the engine's parallel schedule bit-identical to the
      sequential sweep. *)
-  let gate_eval ?gate_delay ?delay_sigma ?delay_of ?delay_rf ?mis ?max_enumerated_fanin () =
+  let gate_eval ?delay_sigma ?delay_rf ?mis ?max_enumerated_fanin () =
     fun _circuit g driver operands ->
       match driver with
       | Circuit.Gate { kind; _ } ->
-        let gate_delay = match delay_of with Some f -> Some (f g) | None -> gate_delay in
-        let gate_delay_rf = Option.map (fun f -> f g) delay_rf in
-        gate_output ?gate_delay ?gate_delay_rf ?delay_sigma ?mis ?max_enumerated_fanin kind
-          (Array.to_list operands)
+        gate_output ~gate_delay_rf:(gate_delays delay_rf g) ?delay_sigma ?mis
+          ?max_enumerated_fanin kind (Array.to_list operands)
       | Circuit.Input | Circuit.Dff_output _ -> assert false
 
-  let analyze ?gate_delay ?delay_sigma ?delay_of ?delay_rf ?mis ?max_enumerated_fanin ?check
-      ?domains circuit ~spec =
+  let analyze ?delay_sigma ?delay_rf ?mis ?max_enumerated_fanin ?check ?domains circuit ~spec =
     Propagate.run ?check:(checker check) ?domains circuit
       ~source:(fun s -> source_signal (spec s))
-      ~eval:(gate_eval ?gate_delay ?delay_sigma ?delay_of ?delay_rf ?mis ?max_enumerated_fanin ())
+      ~eval:(gate_eval ?delay_sigma ?delay_rf ?mis ?max_enumerated_fanin ())
 
   let circuit (r : result) = r.Propagate.circuit
   let signal (r : result) id = r.Propagate.per_net.(id)
 
-  let update ?gate_delay ?delay_sigma ?delay_of ?delay_rf ?mis ?max_enumerated_fanin ?check r
-      ~changed ~spec =
+  let update ?delay_sigma ?delay_rf ?mis ?max_enumerated_fanin ?check r ~changed ~spec =
     (* the engine refines in place; this API keeps its input intact *)
     let r = { r with Propagate.per_net = Array.copy r.Propagate.per_net } in
     Propagate.update ?check:(checker check) r
       ~source:(fun s -> source_signal (spec s))
-      ~eval:(gate_eval ?gate_delay ?delay_sigma ?delay_of ?delay_rf ?mis ?max_enumerated_fanin ())
+      ~eval:(gate_eval ?delay_sigma ?delay_rf ?mis ?max_enumerated_fanin ())
       ~changed;
     r
 
@@ -294,24 +294,17 @@ module Moments = struct
     { probs = Moment_kernel.probs r id; rise = Moment_kernel.top r `Rise id;
       fall = Moment_kernel.top r `Fall id }
 
-  let params ?(gate_delay = 1.0) ?(delay_sigma = 0.0) ?delay_of ?delay_rf ?mis
+  let params ?(delay_sigma = 0.0) ?delay_rf ?mis
       ?(max_enumerated_fanin = default_max_enumerated_fanin) ?check circuit ~spec =
     let source id =
       let s = source_signal (spec id) in
       (s.probs, s.rise, s.fall)
     in
-    (* [delay_of] then [delay_rf], each once per evaluated gate, as the
-       record path's [gate_eval] calls them *)
+    (* once per evaluated gate, as the record path's [gate_eval] *)
     let delay g (b : Spsta_engine.Flat.rf_buf) =
-      let d = match delay_of with Some f -> f g | None -> gate_delay in
-      match delay_rf with
-      | Some f ->
-        let d_rise, d_fall = f g in
-        b.Spsta_engine.Flat.rise_mu <- d_rise;
-        b.Spsta_engine.Flat.fall_mu <- d_fall
-      | None ->
-        b.Spsta_engine.Flat.rise_mu <- d;
-        b.Spsta_engine.Flat.fall_mu <- d
+      let d_rise, d_fall = gate_delays delay_rf g in
+      b.Spsta_engine.Flat.rise_mu <- d_rise;
+      b.Spsta_engine.Flat.fall_mu <- d_fall
     in
     let check =
       if Propagate.Sanitize.resolve check then
@@ -320,18 +313,14 @@ module Moments = struct
     in
     { Moment_kernel.source; delay; delay_sigma; mis; max_enumerated_fanin; check }
 
-  let analyze ?gate_delay ?delay_sigma ?delay_of ?delay_rf ?mis ?max_enumerated_fanin ?check
-      ?domains circuit ~spec =
+  let analyze ?delay_sigma ?delay_rf ?mis ?max_enumerated_fanin ?check ?domains circuit ~spec =
     Moment_kernel.run
-      (params ?gate_delay ?delay_sigma ?delay_of ?delay_rf ?mis ?max_enumerated_fanin ?check
-         circuit ~spec)
+      (params ?delay_sigma ?delay_rf ?mis ?max_enumerated_fanin ?check circuit ~spec)
       ?domains circuit
 
-  let update ?gate_delay ?delay_sigma ?delay_of ?delay_rf ?mis ?max_enumerated_fanin ?check r
-      ~changed ~spec =
+  let update ?delay_sigma ?delay_rf ?mis ?max_enumerated_fanin ?check r ~changed ~spec =
     Moment_kernel.update
-      (params ?gate_delay ?delay_sigma ?delay_of ?delay_rf ?mis ?max_enumerated_fanin ?check
-         (circuit r) ~spec)
+      (params ?delay_sigma ?delay_rf ?mis ?max_enumerated_fanin ?check (circuit r) ~spec)
       r ~changed
 
   let critical_endpoint r direction =

@@ -15,7 +15,6 @@ module type S = sig
   (** The signal of a timing source under the given input statistics. *)
 
   val gate_output :
-    ?gate_delay:float ->
     ?gate_delay_rf:float * float ->
     ?delay_sigma:float ->
     ?mis:Spsta_logic.Mis_model.t ->
@@ -27,17 +26,15 @@ module type S = sig
       Inputs are treated as independent.  Fan-ins above
       [max_enumerated_fanin] (default 6) are folded pairwise over the
       gate's base associative kind, which is exact under the same
-      independence assumption.  [gate_delay] defaults to 1.0;
-      [gate_delay_rf] supplies direction-dependent (rise, fall) delays
-      and overrides it; a positive [delay_sigma] models process
-      variation as an independent normal delay per gate (default 0). *)
+      independence assumption.  [gate_delay_rf] is the gate's (rise,
+      fall) delay (default: the unit delay); a positive [delay_sigma]
+      models process variation as an independent normal delay per gate
+      (default 0). *)
 
   type result
 
   val analyze :
-    ?gate_delay:float ->
     ?delay_sigma:float ->
-    ?delay_of:(Spsta_netlist.Circuit.id -> float) ->
     ?delay_rf:(Spsta_netlist.Circuit.id -> float * float) ->
     ?mis:Spsta_logic.Mis_model.t ->
     ?max_enumerated_fanin:int ->
@@ -46,10 +43,10 @@ module type S = sig
     Spsta_netlist.Circuit.t ->
     spec:(Spsta_netlist.Circuit.id -> Spsta_sim.Input_spec.t) ->
     result
-  (** [delay_of] overrides the deterministic delay per gate (e.g. a
-      wire-load model); [delay_rf] gives direction-dependent (rise,
-      fall) delays (e.g. {!Spsta_netlist.Cell_library.gate_delays}) and
-      takes precedence; [delay_sigma] applies on top of either.
+  (** [delay_rf] gives each gate's (rise, fall) delay (e.g.
+      {!Spsta_netlist.Cell_library.gate_delays}; default: the unit delay
+      {!Spsta_netlist.Cell_library.unit_gate_delay});
+      [delay_sigma] applies on top of it.
 
       [domains] (default 1: fully sequential) evaluates each logic
       level's gates concurrently across that many OCaml domains via
@@ -71,9 +68,7 @@ module type S = sig
   val signal : result -> Spsta_netlist.Circuit.id -> signal
 
   val update :
-    ?gate_delay:float ->
     ?delay_sigma:float ->
-    ?delay_of:(Spsta_netlist.Circuit.id -> float) ->
     ?delay_rf:(Spsta_netlist.Circuit.id -> float * float) ->
     ?mis:Spsta_logic.Mis_model.t ->
     ?max_enumerated_fanin:int ->

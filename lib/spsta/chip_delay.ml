@@ -7,10 +7,10 @@ type t = {
   criticality : (Circuit.id * float) list;
 }
 
-let compute ?(dt = 0.05) ?gate_delay ?delay_of circuit ~spec =
+let compute ?(dt = 0.05) ?delay_rf circuit ~spec =
   let module B = (val Top.discrete_backend ~dt () : Top.BACKEND with type top = Discrete.t) in
   let module A = Analyzer.Make (B) in
-  let result = A.analyze ?gate_delay ?delay_of circuit ~spec in
+  let result = A.analyze ?delay_rf circuit ~spec in
   let endpoints = Circuit.endpoints circuit in
   (* per endpoint: combined (rise + fall) transition mass over time *)
   let tops =

@@ -12,12 +12,12 @@ type t
 
 val compute :
   ?dt:float ->
-  ?gate_delay:float ->
-  ?delay_of:(Spsta_netlist.Circuit.id -> float) ->
+  ?delay_rf:(Spsta_netlist.Circuit.id -> float * float) ->
   Spsta_netlist.Circuit.t ->
   spec:(Spsta_netlist.Circuit.id -> Spsta_sim.Input_spec.t) ->
   t
-(** [dt] is the grid step (default 0.05). *)
+(** [dt] is the grid step (default 0.05); [delay_rf] is each gate's
+    (rise, fall) delay, as in {!Analyzer.S.analyze}. *)
 
 val p_idle : t -> float
 (** Probability no endpoint transitions during a cycle (the chip delay

@@ -63,7 +63,7 @@ module Moment_backend : BACKEND with type top = Mixture.t = struct
   let stddev = Mixture.stddev
   let compact top = Mixture.compact ~max_components:moment_max_components top
   let dropped _ = 0.0
-  let check ~what top = Spsta_lint.Invariant.(first (check_mixture ~what top))
+  let check ~what top = Spsta_engine.Invariant.(first (check_mixture ~what top))
 
   (* mixtures are persistent component lists; the accumulator is just a
      fold cell (Mixture.add is already O(|new components|)) *)
@@ -118,7 +118,7 @@ let discrete_backend ?(truncate_eps = 1e-9) ?(cache_normals = true) ~dt () :
       if truncate_eps > 0.0 then Discrete.truncate ~eps:truncate_eps top else top
 
     let dropped = Discrete.dropped_mass
-    let check ~what top = Spsta_lint.Invariant.(first (check_discrete ~what top))
+    let check ~what top = Spsta_engine.Invariant.(first (check_discrete ~what top))
 
     module Acc = struct
       type t = Discrete.Accum.t

@@ -7,7 +7,7 @@ type net_top = { rate : float; top : Mixture.t }
 
 type t = net_top array
 
-let compute ?(gate_delay = 1.0) circuit ~spec =
+let compute circuit ~spec =
   let sp =
     Signal_prob.compute circuit ~p_source:(fun s -> Input_spec.signal_probability (spec s))
   in
@@ -32,7 +32,9 @@ let compute ?(gate_delay = 1.0) circuit ~spec =
           let weight = Truth.prob_one (Truth.boolean_difference truth i) p in
           Mixture.scale per_net.(inputs.(i)).top weight)
     in
-    let combined = Mixture.add_delay (Mixture.sum contributions) gate_delay in
+    let combined =
+      Mixture.add_delay (Mixture.sum contributions) Spsta_netlist.Cell_library.unit_gate_delay
+    in
     let combined = Mixture.compact ~max_components:16 combined in
     per_net.(g) <- { rate = Mixture.total_weight combined; top = combined }
   in

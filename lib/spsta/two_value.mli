@@ -16,7 +16,6 @@ type net_top = {
 type t
 
 val compute :
-  ?gate_delay:float ->
   Spsta_netlist.Circuit.t ->
   spec:(Spsta_netlist.Circuit.id -> Spsta_sim.Input_spec.t) ->
   t

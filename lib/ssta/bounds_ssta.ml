@@ -12,7 +12,7 @@ let clamp01 x = Float.min 1.0 (Float.max 0.0 x)
    probabilities and the Frechet band must not invert. *)
 let band_check : (float array * float array) Propagate.Sanitize.check =
  fun _circuit _id (lower, upper) ->
-  let open Spsta_lint.Invariant in
+  let open Spsta_engine.Invariant in
   match
     first (check_cdf ~what:"lower cdf bound" lower @ check_cdf ~what:"upper cdf bound" upper)
   with
@@ -30,7 +30,9 @@ let band_check : (float array * float array) Propagate.Sanitize.check =
     in
     scan 0
 
-let analyze ?(gate_delay = 1.0) ?(dt = 0.1) ?(input_arrival = Normal.standard) ?check
+let gate_delay = Spsta_netlist.Cell_library.unit_gate_delay
+
+let analyze ?(dt = 0.1) ?(input_arrival = Normal.standard) ?check
     ?domains circuit =
   let depth = float_of_int (Circuit.depth circuit) in
   let horizon =

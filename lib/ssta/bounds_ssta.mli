@@ -32,7 +32,6 @@ type band = {
 type result
 
 val analyze :
-  ?gate_delay:float ->
   ?dt:float ->
   ?input_arrival:Spsta_dist.Normal.t ->
   ?check:bool ->
@@ -40,7 +39,8 @@ val analyze :
   Spsta_netlist.Circuit.t ->
   result
 (** [dt] (default 0.1) is the grid step; the grid ends 6 input sigmas
-    past depth * [gate_delay]; [input_arrival] defaults to the standard normal.
+    past [depth] unit gate delays; [input_arrival] defaults to the
+    standard normal.
 
     Traversal comes from {!Spsta_engine.Propagate}: [domains]
     (default 1) evaluates each logic level's gates across that many

@@ -4,18 +4,14 @@ module Flat = Spsta_engine.Flat
 module Gate_kind = Spsta_logic.Gate_kind
 module Normal = Spsta_dist.Normal
 module Clark = Spsta_dist.Clark
+module Cell_library = Spsta_netlist.Cell_library
 
 type arrival = { rise : Normal.t; fall : Normal.t }
 
-(* The flat struct-of-arrays kernel (per-net moments in float arrays,
-   allocation-free sweeps) computes the analysis; the record engine
-   ([Propagate.run]) stays as the test oracle ([`Record] on
-   [analyze_rf]'s [engine] selector).  They are bit-identical by
-   construction (the flat folds replay the record operation order
-   exactly; the test suite asserts Int64-level equality across engines
-   and domain counts), so the representation is free to follow whichever
-   engine produced it and [arrival] records materialize only at this API
-   boundary. *)
+(* The flat kernel computes the analysis; the record engine
+   ([Propagate.run]) is the test oracle.  The two are bit-identical by
+   construction, so a result follows whichever engine produced it and
+   [arrival] records materialize only at this API boundary. *)
 type result = Flat_r of Flat.Ssta.state | Boxed of arrival Propagate.result
 
 let default_input = { rise = Normal.standard; fall = Normal.standard }
@@ -43,14 +39,14 @@ let base_arrivals kind (inputs : arrival array) =
 (* The engine's per-gate transfer function: a pure function of the
    gate's operand arrivals, which is what makes the levelized parallel
    schedule bit-identical to the sequential sweep. *)
-let gate_eval ~delay_rf_of _circuit g driver operands =
+let gate_eval ~delays _circuit g driver operands =
   match driver with
   | Circuit.Gate { kind; _ } ->
     let base_rise, base_fall = base_arrivals kind operands in
     let rise0, fall0 =
       if Gate_kind.inverting kind then (base_fall, base_rise) else (base_rise, base_fall)
     in
-    let d_rise, d_fall = delay_rf_of g in
+    let d_rise, d_fall = delays g in
     { rise = Normal.sum rise0 d_rise; fall = Normal.sum fall0 d_fall }
   | Circuit.Input | Circuit.Dff_output _ -> assert false
 
@@ -61,7 +57,7 @@ let source_of ~input_arrival ~input_arrival_of =
    non-negative sigmas through every SUM / Clark MAX step. *)
 let arrival_check : arrival Propagate.Sanitize.check =
  fun _circuit _id a ->
-  let open Spsta_lint.Invariant in
+  let open Spsta_engine.Invariant in
   first
     (check_normal ~what:"rise arrival" a.rise @ check_normal ~what:"fall arrival" a.fall)
 
@@ -69,10 +65,13 @@ let arrival_check : arrival Propagate.Sanitize.check =
 
 let record_check check = if Propagate.Sanitize.resolve check then Some arrival_check else None
 
-(* (rise, fall) delays as the deterministic normals [gate_eval] sums *)
-let record_delay delay_rf g =
-  let rise, fall = delay_rf g in
-  (Normal.make ~mu:rise ~sigma:0.0, Normal.make ~mu:fall ~sigma:0.0)
+(* A gate's delay moments as the normals [gate_eval] sums, read through
+   the flat kernel's writer, so the two engines cannot resolve a gate's
+   delay differently. *)
+let record_delay delay g =
+  let b = Flat.rf_buf () in
+  delay g b;
+  (Normal.make ~mu:b.Flat.rise_mu ~sigma:b.rise_sig, Normal.make ~mu:b.fall_mu ~sigma:b.fall_sig)
 
 (* --- flat engine --------------------------------------------------- *)
 
@@ -83,7 +82,7 @@ let flat_check check =
   if Propagate.Sanitize.resolve check then
     Some
       (fun rise_mu rise_sig fall_mu fall_sig ->
-        let open Spsta_lint.Invariant in
+        let open Spsta_engine.Invariant in
         first
           (check_normal_parts ~what:"rise arrival" ~mean:rise_mu ~sigma:rise_sig
           @ check_normal_parts ~what:"fall arrival" ~mean:fall_mu ~sigma:fall_sig))
@@ -96,13 +95,12 @@ let flat_source source id (b : Flat.rf_buf) =
   b.fall_mu <- Normal.mean a.fall;
   b.fall_sig <- Normal.stddev a.fall
 
-(* Per-gate delay writers, one per entry-point delay shape — the uniform
-   [analyze] path writes four constants per gate, no intermediate
-   records or tuples at all. *)
-let flat_delay_uniform mu (_g : Circuit.id) (b : Flat.rf_buf) =
-  b.Flat.rise_mu <- mu;
+(* Per-gate delay writers.  The unit-delay default writes four
+   constants per gate, no intermediate records or tuples at all. *)
+let flat_delay_uniform (_g : Circuit.id) (b : Flat.rf_buf) =
+  b.Flat.rise_mu <- Cell_library.unit_gate_delay;
   b.rise_sig <- 0.0;
-  b.fall_mu <- mu;
+  b.fall_mu <- Cell_library.unit_gate_delay;
   b.fall_sig <- 0.0
 
 let flat_delay_variational gate_delay g (b : Flat.rf_buf) =
@@ -119,59 +117,47 @@ let flat_delay_rf delay_rf g (b : Flat.rf_buf) =
   b.fall_mu <- fall;
   b.fall_sig <- 0.0
 
+(* The one place a gate's delay is resolved, for both engines: the
+   caller's (rise, fall) pair, else the paper's unit delay. *)
+let flat_delay = function None -> flat_delay_uniform | Some delay_rf -> flat_delay_rf delay_rf
+
 let run_flat ~delay ~source ?check ?domains circuit =
   Flat_r (Flat.Ssta.run ~source:(flat_source source) ~delay ?check:(flat_check check) ?domains circuit)
 
 (* --- entry points -------------------------------------------------- *)
 
-let analyze ?(gate_delay = 1.0) ?input_arrival ?input_arrival_of ?check ?domains circuit =
-  let input_arrival = Option.value input_arrival ~default:default_input in
-  run_flat ~delay:(flat_delay_uniform gate_delay)
-    ~source:(source_of ~input_arrival ~input_arrival_of)
-    ?check ?domains circuit
+let analyze_rf ?delay_rf ?(input_arrival = default_input) ?input_arrival_of ?check ?domains
+    ?(engine = `Flat) circuit =
+  let source = source_of ~input_arrival ~input_arrival_of in
+  let delay = flat_delay delay_rf in
+  match engine with
+  | `Flat -> run_flat ~delay ~source ?check ?domains circuit
+  | `Record ->
+    Boxed
+      (Propagate.run ?check:(record_check check) ?domains circuit ~source
+         ~eval:(gate_eval ~delays:(record_delay delay)))
 
-let analyze_variational ~gate_delay ?input_arrival ?input_arrival_of ?check ?domains circuit =
-  let input_arrival = Option.value input_arrival ~default:default_input in
+let analyze ?delay_rf ?input_arrival ?input_arrival_of ?check ?domains circuit =
+  analyze_rf ?delay_rf ?input_arrival ?input_arrival_of ?check ?domains circuit
+
+let analyze_variational ~gate_delay ?(input_arrival = default_input) ?input_arrival_of ?check
+    ?domains circuit =
   run_flat ~delay:(flat_delay_variational gate_delay)
     ~source:(source_of ~input_arrival ~input_arrival_of)
     ?check ?domains circuit
 
-let analyze_rf ~delay_rf ?input_arrival ?input_arrival_of ?check ?domains ?(engine = `Flat)
-    circuit =
-  let input_arrival = Option.value input_arrival ~default:default_input in
-  let source = source_of ~input_arrival ~input_arrival_of in
-  match engine with
-  | `Flat -> run_flat ~delay:(flat_delay_rf delay_rf) ~source ?check ?domains circuit
-  | `Record ->
-    Boxed
-      (Propagate.run ?check:(record_check check) ?domains circuit ~source
-         ~eval:(gate_eval ~delay_rf_of:(record_delay delay_rf)))
-
 (* Updates refine the result in place on whichever engine produced it,
    so a record-engine oracle stays on the record engine through a whole
    incremental run and a flat result never pays boxing. *)
-let update ?(gate_delay = 1.0) ?(input_arrival = default_input) ?input_arrival_of ?check r
-    ~changed =
+let update ?delay_rf ?(input_arrival = default_input) ?input_arrival_of ?check r ~changed =
   let source = source_of ~input_arrival ~input_arrival_of in
+  let delay = flat_delay delay_rf in
   match r with
   | Flat_r st ->
-    Flat.Ssta.update ~source:(flat_source source) ~delay:(flat_delay_uniform gate_delay)
-      ?check:(flat_check check) st ~changed
-  | Boxed br ->
-    let delay = Normal.make ~mu:gate_delay ~sigma:0.0 in
-    Propagate.update ?check:(record_check check) br ~source
-      ~eval:(gate_eval ~delay_rf_of:(fun _ -> (delay, delay)))
-      ~changed
-
-let update_rf ~delay_rf ?(input_arrival = default_input) ?input_arrival_of ?check r ~changed =
-  let source = source_of ~input_arrival ~input_arrival_of in
-  match r with
-  | Flat_r st ->
-    Flat.Ssta.update ~source:(flat_source source) ~delay:(flat_delay_rf delay_rf)
-      ?check:(flat_check check) st ~changed
+    Flat.Ssta.update ~source:(flat_source source) ~delay ?check:(flat_check check) st ~changed
   | Boxed br ->
     Propagate.update ?check:(record_check check) br ~source
-      ~eval:(gate_eval ~delay_rf_of:(record_delay delay_rf))
+      ~eval:(gate_eval ~delays:(record_delay delay))
       ~changed
 
 let copy = function

@@ -19,19 +19,19 @@ type arrival = { rise : Spsta_dist.Normal.t; fall : Spsta_dist.Normal.t }
 type result
 
 val analyze :
-  ?gate_delay:float ->
+  ?delay_rf:(Spsta_netlist.Circuit.id -> float * float) ->
   ?input_arrival:arrival ->
   ?input_arrival_of:(Spsta_netlist.Circuit.id -> arrival) ->
   ?check:bool ->
   ?domains:int ->
   Spsta_netlist.Circuit.t ->
   result
-(** [input_arrival] defaults to standard normal for both directions (the
-    paper's source statistics); [input_arrival_of] overrides it per
-    source net.  [gate_delay] is deterministic and defaults to 1.0.
-    The sweep runs on the allocation-free struct-of-arrays kernel
-    {!Spsta_engine.Flat.Ssta} (per-net moments in flat float arrays,
-    records materialized only at this module's API).
+(** [delay_rf] gives each gate's deterministic (rise, fall) delay — e.g.
+    cell-library timing ({!Spsta_netlist.Cell_library.gate_delays});
+    without it every gate has the unit delay
+    ({!Spsta_netlist.Cell_library.unit_gate_delay}).  [input_arrival]
+    defaults to standard normal for both directions (the paper's source
+    statistics); [input_arrival_of] overrides it per source net.
 
     [domains] (default 1) evaluates each logic level's gates across that
     many OCaml domains; results are bit-identical to the sequential
@@ -56,7 +56,7 @@ val analyze_variational :
     the process-variation ablation. *)
 
 val analyze_rf :
-  delay_rf:(Spsta_netlist.Circuit.id -> float * float) ->
+  ?delay_rf:(Spsta_netlist.Circuit.id -> float * float) ->
   ?input_arrival:arrival ->
   ?input_arrival_of:(Spsta_netlist.Circuit.id -> arrival) ->
   ?check:bool ->
@@ -64,19 +64,16 @@ val analyze_rf :
   ?engine:[ `Flat | `Record ] ->
   Spsta_netlist.Circuit.t ->
   result
-(** Deterministic but direction-dependent (rise, fall) delays per gate —
-    for cell-library timing ({!Spsta_netlist.Cell_library}).
-
-    [engine] selects the test oracle and nothing else.  The default
-    [`Flat] is the runtime engine, as in {!analyze}.  [`Record] is the
-    boxed-record engine ({!Spsta_engine.Propagate.run}) that
-    differential tests and the benchmark's output checks compare it
-    against; the two are bit-identical (IEEE-exact, asserted in the test
-    suite at every domain count).  {!update}/{!update_rf} stay on the
-    engine that produced their input result. *)
+(** {!analyze} plus the test-oracle selector [engine].  The default
+    [`Flat] is {!analyze}.  [`Record] is the boxed-record engine
+    ({!Spsta_engine.Propagate.run}) that differential tests and the
+    benchmark's output checks compare it against; the two are
+    bit-identical (IEEE-exact, asserted in the test suite at every
+    domain count).  {!update} stays on the engine that produced its
+    input result. *)
 
 val update :
-  ?gate_delay:float ->
+  ?delay_rf:(Spsta_netlist.Circuit.id -> float * float) ->
   ?input_arrival:arrival ->
   ?input_arrival_of:(Spsta_netlist.Circuit.id -> arrival) ->
   ?check:bool ->
@@ -85,26 +82,16 @@ val update :
   unit
 (** Incremental re-analysis in place: recompute only the fanout cones
     of the [changed] nets (e.g. sources whose arrival statistics
-    changed), under the same [gate_delay] as the original {!analyze}
-    and the *new* source arrivals, and overwrite those nets' arrivals
-    in [result].  Afterwards [result] matches a full {!analyze} with the
-    new arrivals provided nothing outside the cones changed; arrivals
-    outside the cones are not touched.  The work is the cone alone, with
-    no per-update copy of the per-net state.  A caller that must keep
-    the old result (a trial move it may reject) updates a {!copy}. *)
-
-val update_rf :
-  delay_rf:(Spsta_netlist.Circuit.id -> float * float) ->
-  ?input_arrival:arrival ->
-  ?input_arrival_of:(Spsta_netlist.Circuit.id -> arrival) ->
-  ?check:bool ->
-  result ->
-  changed:Spsta_netlist.Circuit.id list ->
-  unit
-(** {!update} under per-gate (rise, fall) delays — the incremental
-    counterpart of {!analyze_rf}.  [delay_rf] is consulted for every
-    dirty gate, so passing a resized gate's output net in [changed]
-    re-evaluates it with its new cell ({!Spsta_netlist.Transform.resize_gate}). *)
+    changed, or gates whose cell changed) under [delay_rf] and the
+    *new* source arrivals, and overwrite those nets' arrivals in
+    [result].  [delay_rf] is consulted for every dirty gate, so passing
+    a resized gate's output net in [changed] re-evaluates it with its
+    new cell ({!Spsta_netlist.Transform.resize_gate}).  Afterwards
+    [result] matches a full {!analyze} under the same arguments provided
+    nothing outside the cones changed; arrivals outside the cones are
+    not touched.  The work is the cone alone, with no per-update copy of
+    the per-net state.  A caller that must keep the old result (a trial
+    move it may reject) updates a {!copy}. *)
 
 val copy : result -> result
 (** An independent result with the same arrivals, on the same engine:

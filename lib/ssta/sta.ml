@@ -13,8 +13,9 @@ let default_input = { earliest = 0.0; latest = 0.0 }
 let source_of ~input_bounds ~input_bounds_of =
   match input_bounds_of with Some f -> f | None -> fun _ -> input_bounds
 
-let resolve_delay ~gate_delay ~gate_delay_of =
-  match gate_delay_of with Some f -> f | None -> fun _ -> gate_delay
+let resolve_delay = function
+  | Some f -> f
+  | None -> fun _ -> Spsta_netlist.Cell_library.unit_gate_delay
 
 (* Sanitizer checker: the [earliest, latest] window must stay a finite,
    ordered interval through every min/max/shift step. *)
@@ -22,7 +23,7 @@ let flat_check check =
   if Propagate.Sanitize.resolve check then
     Some
       (fun earliest latest ->
-        Spsta_lint.Invariant.(first (check_interval ~what:"arrival window" (earliest, latest))))
+        Spsta_engine.Invariant.(first (check_interval ~what:"arrival window" (earliest, latest))))
   else None
 
 let flat_source source id (b : Flat.Sta.buf) =
@@ -30,18 +31,17 @@ let flat_source source id (b : Flat.Sta.buf) =
   b.Flat.Sta.b_early <- s.earliest;
   b.b_late <- s.latest
 
-let analyze ?(gate_delay = 1.0) ?gate_delay_of ?(input_bounds = default_input)
-    ?input_bounds_of ?check ?domains circuit =
+let analyze ?gate_delay_of ?(input_bounds = default_input) ?input_bounds_of ?check ?domains
+    circuit =
   Flat.Sta.run
     ~source:(flat_source (source_of ~input_bounds ~input_bounds_of))
-    ~delay:(resolve_delay ~gate_delay ~gate_delay_of)
+    ~delay:(resolve_delay gate_delay_of)
     ?check:(flat_check check) ?domains circuit
 
-let update ?(gate_delay = 1.0) ?gate_delay_of ?(input_bounds = default_input)
-    ?input_bounds_of ?check r ~changed =
+let update ?gate_delay_of ?(input_bounds = default_input) ?input_bounds_of ?check r ~changed =
   Flat.Sta.update
     ~source:(flat_source (source_of ~input_bounds ~input_bounds_of))
-    ~delay:(resolve_delay ~gate_delay ~gate_delay_of)
+    ~delay:(resolve_delay gate_delay_of)
     ?check:(flat_check check) r ~changed
 
 let bounds r id = { earliest = Flat.Sta.earliest r id; latest = Flat.Sta.latest r id }

@@ -11,7 +11,6 @@ type bounds = { earliest : float; latest : float }
 type result
 
 val analyze :
-  ?gate_delay:float ->
   ?gate_delay_of:(Spsta_netlist.Circuit.id -> float) ->
   ?input_bounds:bounds ->
   ?input_bounds_of:(Spsta_netlist.Circuit.id -> bounds) ->
@@ -19,9 +18,9 @@ val analyze :
   ?domains:int ->
   Spsta_netlist.Circuit.t ->
   result
-(** [gate_delay_of] overrides [gate_delay] (default 1.0) per gate-output
-    net — e.g. sized-cell mean delays from
-    {!Spsta_netlist.Sized_library}.
+(** [gate_delay_of] gives each gate-output net's delay — e.g. sized-cell
+    mean delays from {!Spsta_netlist.Sized_library}; without it every
+    gate has the unit delay ({!Spsta_netlist.Cell_library.unit_gate_delay}).
 
     [input_bounds] defaults to {earliest = 0.; latest = 0.}; the paper's
     N(0,1) inputs are commonly bounded at +-3 sigma, i.e.
@@ -39,7 +38,6 @@ val analyze :
     when off nothing is checked. *)
 
 val update :
-  ?gate_delay:float ->
   ?gate_delay_of:(Spsta_netlist.Circuit.id -> float) ->
   ?input_bounds:bounds ->
   ?input_bounds_of:(Spsta_netlist.Circuit.id -> bounds) ->
@@ -61,6 +59,4 @@ val critical_endpoint : result -> Spsta_netlist.Circuit.id
 
 val max_latest : result -> float
 (** Largest [latest] over all endpoints — the STA clock-period bound.
-    Raises [Invalid_argument] if the circuit has no endpoints (it used
-    to silently return [neg_infinity]; consistent with
-    {!critical_endpoint} since the engine rebase). *)
+    Raises [Invalid_argument] if the circuit has no endpoints. *)

@@ -2,22 +2,16 @@ module Circuit = Spsta_netlist.Circuit
 
 type t = {
   circuit : Circuit.t;
-  gate_delay : float;
   arrivals : float array;
   requireds : float array;
 }
 
-let analyze ?(gate_delay = 1.0) ?(input_arrival = 0.0) ~clock_period circuit =
+let analyze ?(input_arrival = 0.0) ~clock_period circuit =
   let n = Circuit.num_nets circuit in
-  let arrivals = Array.make n input_arrival in
-  Array.iter
-    (fun g ->
-      match Circuit.driver circuit g with
-      | Circuit.Gate { inputs; _ } ->
-        let latest = Array.fold_left (fun acc i -> Float.max acc arrivals.(i)) neg_infinity inputs in
-        arrivals.(g) <- latest +. gate_delay
-      | Circuit.Input | Circuit.Dff_output _ -> assert false)
-    (Circuit.topo_gates circuit);
+  (* forward pass: the latest corner of unit-delay STA *)
+  let window = { Sta.earliest = input_arrival; latest = input_arrival } in
+  let sta = Sta.analyze ~input_bounds:window circuit in
+  let arrivals = Array.init n (fun id -> (Sta.bounds sta id).Sta.latest) in
   (* backward pass: endpoints are constrained by the clock; a net's
      required time is the tightest of its fanouts' requirements minus the
      consuming gate's delay *)
@@ -28,11 +22,11 @@ let analyze ?(gate_delay = 1.0) ?(input_arrival = 0.0) ~clock_period circuit =
     let g = topo.(i) in
     match Circuit.driver circuit g with
     | Circuit.Gate { inputs; _ } ->
-      let budget = requireds.(g) -. gate_delay in
+      let budget = requireds.(g) -. Spsta_netlist.Cell_library.unit_gate_delay in
       Array.iter (fun input -> requireds.(input) <- Float.min requireds.(input) budget) inputs
     | Circuit.Input | Circuit.Dff_output _ -> assert false
   done;
-  { circuit; gate_delay; arrivals; requireds }
+  { circuit; arrivals; requireds }
 
 let arrival t id = t.arrivals.(id)
 let required t id = t.requireds.(id)

@@ -9,13 +9,13 @@
 type t
 
 val analyze :
-  ?gate_delay:float ->
   ?input_arrival:float ->
   clock_period:float ->
   Spsta_netlist.Circuit.t ->
   t
-(** [input_arrival] (default 0) is the latest launch time of every
-    source. *)
+(** Every gate has the unit delay
+    ({!Spsta_netlist.Cell_library.unit_gate_delay}); [input_arrival]
+    (default 0) is the latest launch time of every source. *)
 
 val arrival : t -> Spsta_netlist.Circuit.id -> float
 (** Latest arrival at the net. *)

@@ -27,7 +27,7 @@ let base_arrivals kind inputs =
    sensitivities, and a finite non-negative independent sigma through
    every SUM / Clark MAX step. *)
 let canonical_check ~what (c : Canonical.t) =
-  let open Spsta_lint.Invariant in
+  let open Spsta_engine.Invariant in
   check_finite ~what:(what ^ " mean") c.Canonical.mean
   @ (if not (finite c.Canonical.rand) then
        [ { rule = "non-finite"; message = Printf.sprintf "%s independent sigma is %h" what c.Canonical.rand } ]
@@ -45,7 +45,7 @@ let canonical_check ~what (c : Canonical.t) =
 
 let arrival_check : arrival Propagate.Sanitize.check =
  fun _circuit _id a ->
-  Spsta_lint.Invariant.first
+  Spsta_engine.Invariant.first
     (canonical_check ~what:"rise arrival" a.rise @ canonical_check ~what:"fall arrival" a.fall)
 
 let analyze ?(input_sigma = 1.0) ?check ?domains model placement circuit =

@@ -35,7 +35,7 @@ let symbol_bases circuit =
    true arrival, so an empty intersection means one of them is wrong. *)
 let state_check : state Propagate.Sanitize.check =
  fun _circuit _id s ->
-  let open Spsta_lint.Invariant in
+  let open Spsta_engine.Invariant in
   let alo, ahi = Affine.interval s.affine in
   let nlo, nhi = s.naive in
   match
@@ -54,7 +54,9 @@ let state_check : state Propagate.Sanitize.check =
             alo ahi nlo nhi )
     else None
 
-let analyze ?(gate_delay = 1.0) ?(delay_radius = 0.0) ?(input_radius = 3.0) ?check ?domains
+let gate_delay = Spsta_netlist.Cell_library.unit_gate_delay
+
+let analyze ?(delay_radius = 0.0) ?(input_radius = 3.0) ?check ?domains
     circuit =
   if delay_radius < 0.0 || input_radius < 0.0 then
     invalid_arg "Interval_sta.analyze: negative radius";

@@ -14,7 +14,6 @@
 type result
 
 val analyze :
-  ?gate_delay:float ->
   ?delay_radius:float ->
   ?input_radius:float ->
   ?check:bool ->
@@ -23,7 +22,7 @@ val analyze :
   result
 (** Source arrivals are 0 +- [input_radius] (default 3.0, the +-3 sigma
     window of the paper's N(0,1) inputs); every gate's delay is
-    [gate_delay] +- [delay_radius] (defaults 1.0 +- 0).
+    the unit delay +- [delay_radius] (default 0).
 
     Traversal comes from {!Spsta_engine.Propagate}.  Each net draws its
     noise symbols from a private deterministic id range, so [domains]

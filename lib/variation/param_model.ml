@@ -1,8 +1,7 @@
 module Circuit = Spsta_netlist.Circuit
 module Rng = Spsta_util.Rng
 
-(* every gate's nominal delay is the paper's unit delay *)
-let nominal = 1.0
+let nominal = Spsta_netlist.Cell_library.unit_gate_delay
 
 type t = {
   sigma_global : float;

@@ -73,7 +73,7 @@ let test_not_shifts () =
 
 let test_gate_delay () =
   let x = A.source_signal Input_spec.case_i in
-  let y = A.gate_output ~gate_delay:2.5 Gate_kind.Buf [ x ] in
+  let y = A.gate_output ~gate_delay_rf:(2.5, 2.5) Gate_kind.Buf [ x ] in
   let mu, _, _ = A.transition_stats y `Rise in
   close "custom delay" 2.5 mu ~tol:1e-9
 

@@ -201,7 +201,7 @@ let test_canonical_ssta_vs_sampling () =
   for _ = 1 to 20_000 do
     let delay_of = Param_model.sample_delays rng model p c in
     let sim =
-      Spsta_sim.Logic_sim.run ~delay_of c
+      Spsta_sim.Logic_sim.run ~delay_rf:(fun g -> (delay_of g, delay_of g)) c
         ~source_values:(fun _ -> (Spsta_logic.Value4.Rising, 0.0))
     in
     Stats.acc_add acc sim.Spsta_sim.Logic_sim.times.(target)

@@ -152,7 +152,7 @@ let test_cycle_names_nets () =
       Circuit.Builder.add_output b "z";
       ignore (Circuit.Builder.finalize b);
       Alcotest.fail "cycle accepted"
-    with Circuit.Invalid_circuit m -> m
+    with Circuit.Invalid_circuit { message; _ } -> message
   in
   let contains sub =
     let n = String.length sub and len = String.length message in

@@ -85,11 +85,11 @@ let prop_engines_bit_identical =
       let input_arrival_of = arrival_of (seed + 17) in
       let delay_rf = delay_rf_of (seed + 23) in
       let record = Ssta.analyze_rf ~delay_rf ~input_arrival_of ~engine:`Record c in
-      let flat = Ssta.analyze_rf ~delay_rf ~input_arrival_of c in
+      let flat = Ssta.analyze ~delay_rf ~input_arrival_of c in
       assert_ssta_identical "record vs flat" c record flat;
       List.iter
         (fun domains ->
-          let par = Ssta.analyze_rf ~delay_rf ~input_arrival_of ~domains c in
+          let par = Ssta.analyze ~delay_rf ~input_arrival_of ~domains c in
           assert_ssta_identical (Printf.sprintf "flat seq vs domains=%d" domains) c flat par)
         [ 2; 3; 4 ];
       true)
@@ -131,7 +131,7 @@ let prop_sta_bit_identical =
 
 (* ---------- incremental update: dirty cone equivalence ---------- *)
 
-let prop_update_rf_equivalent =
+let prop_update_equivalent =
   QCheck.Test.make ~name:"update_rf = full re-analysis (flat and record, Int64-exact)" ~count:30
     QCheck.(int_range 0 10_000)
     (fun seed ->
@@ -146,9 +146,9 @@ let prop_update_rf_equivalent =
       let check engine =
         let base = Ssta.analyze_rf ~delay_rf ~input_arrival_of:old_arrival_of ~engine c in
         let full = Ssta.analyze_rf ~delay_rf ~input_arrival_of:new_arrival_of ~engine c in
-        Ssta.update_rf ~delay_rf ~input_arrival_of:new_arrival_of base ~changed:[ changed ];
+        Ssta.update ~delay_rf ~input_arrival_of:new_arrival_of base ~changed:[ changed ];
         assert_ssta_identical
-          (Printf.sprintf "update_rf vs full (%s)"
+          (Printf.sprintf "update vs full (%s)"
              (match engine with `Flat -> "flat" | `Record -> "record"))
           c full base
       in
@@ -176,7 +176,7 @@ let prop_update_chain_in_place =
       in
       let gates = Circuit.topo_gates c in
       let sources = Array.of_list (Circuit.sources c) in
-      let result = Ssta.analyze_rf ~delay_rf ~input_arrival_of c in
+      let result = Ssta.analyze ~delay_rf ~input_arrival_of c in
       let steps = 5 + Rng.int rng 16 in
       for step = 1 to steps do
         let changed =
@@ -207,7 +207,7 @@ let prop_update_chain_in_place =
             Hashtbl.replace overrides s (arrival_of (seed + (1000 * step)) s);
             [ s ]
         in
-        Ssta.update_rf ~delay_rf ~input_arrival_of result ~changed;
+        Ssta.update ~delay_rf ~input_arrival_of result ~changed;
         let oracle = Ssta.analyze_rf ~delay_rf ~input_arrival_of ~engine:`Record c in
         assert_ssta_identical (Printf.sprintf "seed %d step %d" seed step) c oracle result
       done;
@@ -232,7 +232,7 @@ let test_flat_sanitizer_locates_fault () =
   let c = build_chain () in
   let poisoned = Circuit.find_exn c "n2" in
   let delay_rf id = if id = poisoned then (Float.nan, 1.0) else (1.0, 1.0) in
-  (match Ssta.analyze_rf ~delay_rf ~check:true c with
+  (match Ssta.analyze ~delay_rf ~check:true c with
   | (_ : Ssta.result) -> Alcotest.fail "NaN delay was not caught on the flat path"
   | exception Sanitize.Violation v ->
     Alcotest.(check string) "circuit" "flatchain" v.circuit;
@@ -241,7 +241,7 @@ let test_flat_sanitizer_locates_fault () =
     Alcotest.(check int) "level" 2 v.level;
     Alcotest.(check string) "rule" "non-finite" v.rule);
   (* with the checker off the same NaN flows through silently *)
-  let r = Ssta.analyze_rf ~delay_rf ~check:false c in
+  let r = Ssta.analyze ~delay_rf ~check:false c in
   Alcotest.(check bool) "NaN propagates unchecked" true
     (Float.is_nan (Normal.mean (Ssta.arrival r poisoned).Ssta.rise))
 
@@ -366,7 +366,7 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_engines_bit_identical;
     QCheck_alcotest.to_alcotest prop_sta_bit_identical;
-    QCheck_alcotest.to_alcotest prop_update_rf_equivalent;
+    QCheck_alcotest.to_alcotest prop_update_equivalent;
     QCheck_alcotest.to_alcotest prop_update_chain_in_place;
     Alcotest.test_case "flat = record on s344/s1238 at domains 1,2,4" `Quick
       test_engines_identical_suite;

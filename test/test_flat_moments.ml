@@ -131,7 +131,10 @@ let spec_of seed id =
     ~p_fall:(1.0 -. ((ws.(0) +. ws.(1) +. ws.(2)) /. total))
     ()
 
-let delay_of_seed seed id = 0.5 +. Rng.float (Rng.stream ~seed (2_000_000 + id))
+(* rise = fall, the shape a direction-less delay model (wire load) passes *)
+let equal_rf_of seed id =
+  let d = 0.5 +. Rng.float (Rng.stream ~seed (2_000_000 + id)) in
+  (d, d)
 
 let delay_rf_of seed id =
   let rng = Rng.stream ~seed (1_000_000 + id) in
@@ -140,8 +143,6 @@ let delay_rf_of seed id =
 (* ---------- the option matrix ---------- *)
 
 type options = {
-  gate_delay : float option;
-  delay_of : (Circuit.id -> float) option;
   delay_rf : (Circuit.id -> float * float) option;
   delay_sigma : float option;
   mis : Mis_model.t option;
@@ -151,22 +152,22 @@ type options = {
 let options_of seed =
   let rng = Rng.stream ~seed 77 in
   let pick n = Rng.int rng n in
-  { gate_delay = (if pick 2 = 0 then None else Some (0.5 +. Rng.float rng));
-    delay_of = (if pick 3 = 0 then Some (delay_of_seed seed) else None);
-    delay_rf = (if pick 3 = 0 then Some (delay_rf_of seed) else None);
+  { delay_rf =
+      (match pick 3 with
+      | 0 -> Some (delay_rf_of seed)
+      | 1 -> Some (equal_rf_of seed)
+      | _ -> None);
     delay_sigma = (match pick 3 with 0 -> None | 1 -> Some 0.0 | _ -> Some (0.1 +. Rng.float rng));
     mis = (if pick 2 = 0 then None else Some (Mis_model.make ()));
     max_enumerated_fanin = (match pick 4 with 0 -> None | 1 -> Some 2 | 2 -> Some 3 | _ -> Some 4) }
 
 let oracle o c ~spec =
-  Oracle.analyze ?gate_delay:o.gate_delay ?delay_of:o.delay_of ?delay_rf:o.delay_rf
-    ?delay_sigma:o.delay_sigma ?mis:o.mis ?max_enumerated_fanin:o.max_enumerated_fanin ~check:false
-    c ~spec
+  Oracle.analyze ?delay_rf:o.delay_rf ?delay_sigma:o.delay_sigma ?mis:o.mis
+    ?max_enumerated_fanin:o.max_enumerated_fanin ~check:false c ~spec
 
 let flat ?domains o c ~spec =
-  Moments.analyze ?gate_delay:o.gate_delay ?delay_of:o.delay_of ?delay_rf:o.delay_rf
-    ?delay_sigma:o.delay_sigma ?mis:o.mis ?max_enumerated_fanin:o.max_enumerated_fanin ~check:false
-    ?domains c ~spec
+  Moments.analyze ?delay_rf:o.delay_rf ?delay_sigma:o.delay_sigma ?mis:o.mis
+    ?max_enumerated_fanin:o.max_enumerated_fanin ~check:false ?domains c ~spec
 
 let prop_flat_equals_oracle =
   QCheck.Test.make ~name:"flat Moments = record oracle, domains 1/2/4 (Int64-exact)" ~count:40
@@ -225,14 +226,12 @@ let test_wide_and_compacting_gates () =
       let n = List.length (Mixture.components xor4.Moments.rise) in
       Alcotest.(check int) (label ^ ": xor4 rise compacted to 16") 16 n)
     [ ("defaults",
-       { gate_delay = None; delay_of = None; delay_rf = None; delay_sigma = None; mis = None;
-         max_enumerated_fanin = None });
+       { delay_rf = None; delay_sigma = None; mis = None; max_enumerated_fanin = None });
       ("mis, sigma, rf",
-       { gate_delay = None; delay_of = None; delay_rf = Some (delay_rf_of 5);
+       { delay_rf = Some (delay_rf_of 5);
          delay_sigma = Some 0.2; mis = Some (Mis_model.make ()); max_enumerated_fanin = None });
       ("pairwise from 5",
-       { gate_delay = Some 2.0; delay_of = Some (delay_of_seed 9); delay_rf = None;
-         delay_sigma = None; mis = Some (Mis_model.make ()); max_enumerated_fanin = Some 4 }) ]
+       { delay_rf = Some (equal_rf_of 9); delay_sigma = None; mis = Some (Mis_model.make ()); max_enumerated_fanin = Some 4 }) ]
 
 let test_suite_circuits () =
   List.iter
@@ -265,9 +264,8 @@ let prop_update_equals_full =
       let base = flat o c ~spec:old_spec in
       let before = Array.init (Circuit.num_nets c) (flat_bits base) in
       let updated =
-        Moments.update ?gate_delay:o.gate_delay ?delay_of:o.delay_of ?delay_rf:o.delay_rf
-          ?delay_sigma:o.delay_sigma ?mis:o.mis ?max_enumerated_fanin:o.max_enumerated_fanin
-          ~check:false base ~changed ~spec:new_spec
+        Moments.update ?delay_rf:o.delay_rf ?delay_sigma:o.delay_sigma ?mis:o.mis
+          ?max_enumerated_fanin:o.max_enumerated_fanin ~check:false base ~changed ~spec:new_spec
       in
       assert_identical "update vs full" c
         (oracle_bits (oracle o c ~spec:new_spec))

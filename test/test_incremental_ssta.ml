@@ -135,13 +135,13 @@ let test_ssta_resize_roundtrip_bit_identical () =
   let sized = Sized.default in
   let asg = Sized.initial c in
   let delay_rf id = Sized.delay_rf sized c asg id in
-  let base = Ssta.analyze_rf ~delay_rf c in
-  let back = Ssta.analyze_rf ~delay_rf c in
+  let base = Ssta.analyze ~delay_rf c in
+  let back = Ssta.analyze ~delay_rf c in
   let gates = Circuit.topo_gates c in
   (* a mid-level gate: non-trivial cone both above and below *)
   let g = gates.(Array.length gates / 2) in
-  Ssta.update_rf ~delay_rf back ~changed:(Transform.resize_gate sized c asg g ~size:3);
-  Ssta.update_rf ~delay_rf back ~changed:(Transform.resize_gate sized c asg g ~size:0);
+  Ssta.update ~delay_rf back ~changed:(Transform.resize_gate sized c asg g ~size:3);
+  Ssta.update ~delay_rf back ~changed:(Transform.resize_gate sized c asg g ~size:0);
   Alcotest.(check int) "assignment restored" 0 (Sized.size_of asg g);
   for i = 0 to Circuit.num_nets c - 1 do
     let a = Ssta.arrival base i and b = Ssta.arrival back i in

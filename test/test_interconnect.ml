@@ -95,7 +95,7 @@ let test_timing_engines_consume_wire_delays () =
   in
   (* logic sim *)
   let sim =
-    Spsta_sim.Logic_sim.run ~delay_of c
+    Spsta_sim.Logic_sim.run ~delay_rf:(fun g -> (delay_of g, delay_of g)) c
       ~source_values:(fun _ -> (Spsta_logic.Value4.Rising, 0.0))
   in
   close "sim loaded arrival" expected sim.Spsta_sim.Logic_sim.times.(out);
@@ -105,7 +105,9 @@ let test_timing_engines_consume_wire_delays () =
       ~rise_arrival:(Spsta_dist.Normal.make ~mu:0.0 ~sigma:0.0)
       ~p_zero:0.0 ~p_one:0.0 ~p_rise:1.0 ~p_fall:0.0 ()
   in
-  let spsta = Spsta_core.Analyzer.Moments.analyze ~delay_of c ~spec in
+  let spsta =
+    Spsta_core.Analyzer.Moments.analyze ~delay_rf:(fun g -> (delay_of g, delay_of g)) c ~spec
+  in
   let mu, _, _ =
     Spsta_core.Analyzer.Moments.transition_stats
       (Spsta_core.Analyzer.Moments.signal spsta out) `Rise
@@ -164,7 +166,7 @@ let delay_pin_rows () =
   let moments label r =
     spsta label (Moments.signal r) Moments.transition_stats (fun s -> s.Moments.probs)
   in
-  moments "moments wire" (Moments.analyze ~delay_of:wire c ~spec);
+  moments "moments wire" (Moments.analyze ~delay_rf:wire_rf c ~spec);
   moments "moments cell" (Moments.analyze ~delay_rf:cell_rf c ~spec);
   let module B =
     (val Spsta_core.Top.discrete_backend ~dt:0.05 ()
@@ -172,7 +174,7 @@ let delay_pin_rows () =
   in
   let module Grid = Spsta_core.Analyzer.Make (B) in
   let grid label r = spsta label (Grid.signal r) Grid.transition_stats (fun s -> s.Grid.probs) in
-  grid "grid wire" (Grid.analyze ~delay_of:wire c ~spec);
+  grid "grid wire" (Grid.analyze ~delay_rf:wire_rf c ~spec);
   grid "grid cell" (Grid.analyze ~delay_rf:cell_rf c ~spec);
   let source_values =
     let rng = Spsta_util.Rng.create ~seed:11 in
@@ -185,9 +187,9 @@ let delay_pin_rows () =
   let sim label (r : Spsta_sim.Logic_sim.result) =
     List.iter (fun e -> add label e [ ("time", r.Spsta_sim.Logic_sim.times.(e)) ]) endpoints
   in
-  sim "sim wire" (Spsta_sim.Logic_sim.run ~delay_of:wire c ~source_values);
+  sim "sim wire" (Spsta_sim.Logic_sim.run ~delay_rf:wire_rf c ~source_values);
   sim "sim cell" (Spsta_sim.Logic_sim.run ~delay_rf:cell_rf c ~source_values);
-  let chip = Spsta_core.Chip_delay.compute ~delay_of:wire c ~spec in
+  let chip = Spsta_core.Chip_delay.compute ~delay_rf:wire_rf c ~spec in
   row "chip wire p_idle" (Spsta_core.Chip_delay.p_idle chip);
   row "chip wire mean" (Spsta_core.Chip_delay.mean chip);
   row "chip wire stddev" (Spsta_core.Chip_delay.stddev chip);
@@ -211,15 +213,12 @@ let delay_pin_rows () =
             ("fall_sigma", Spsta_dist.Normal.stddev a.Ssta.fall) ])
       endpoints
   in
-  let unit_r = Ssta.analyze c in
-  Ssta.update ~input_arrival_of unit_r ~changed:late;
-  ssta "ssta unit" unit_r;
   List.iter
     (fun (label, delay_rf) ->
-      let r = Ssta.analyze_rf ~delay_rf c in
-      Ssta.update_rf ~delay_rf ~input_arrival_of r ~changed:late;
+      let r = Ssta.analyze ?delay_rf c in
+      Ssta.update ?delay_rf ~input_arrival_of r ~changed:late;
       ssta label r)
-    [ ("ssta wire", wire_rf); ("ssta cell", cell_rf) ];
+    [ ("ssta unit", None); ("ssta wire", Some wire_rf); ("ssta cell", Some cell_rf) ];
   List.iter
     (fun (label, engine) ->
       let r = Mc.simulate ~delay_sigma:0.1 ~runs:200 ~engine ~seed:7 c ~spec in

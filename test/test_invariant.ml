@@ -1,10 +1,10 @@
-(* Sanitizer predicates ({!Spsta_lint.Invariant}): unit coverage of each
+(* Sanitizer predicates ({!Spsta_engine.Invariant}): unit coverage of each
    checker plus QCheck properties showing the Discrete grid operations
    the SPSTA backend performs — scale, add, convolve, max/min — conserve
    mass within the tracked truncation bound, i.e. exactly the invariant
    the engine-wired sanitizer enforces per gate. *)
 
-module Invariant = Spsta_lint.Invariant
+module Invariant = Spsta_engine.Invariant
 module Discrete = Spsta_dist.Discrete
 module Normal = Spsta_dist.Normal
 

@@ -259,6 +259,14 @@ let test_arity_mismatch () =
   with_bench_file "INPUT(a)\nOUTPUT(y)\ny = AND(a)\n" (fun path ->
       check_rule "1-input AND" "arity-mismatch" (Lint.lint_path path))
 
+(* the rule comes from the builder's violation, not from the message,
+   which names nets: a net called cycle_q is not a cycle *)
+let test_rule_not_from_net_name () =
+  with_bench_file "INPUT(a)\nOUTPUT(cycle_q)\ncycle_q = AND(a)\n" (fun path ->
+      let findings = Lint.lint_path path in
+      check_rule "1-input AND on cycle_q" "arity-mismatch" findings;
+      check_no_rule "not a cycle" "combinational-cycle" findings)
+
 let test_parse_error () =
   with_bench_file "INPUT(a)\nthis is not bench syntax\n" (fun path ->
       check_rule "garbage line" "parse-error" (Lint.lint_path path))
@@ -483,6 +491,7 @@ let suite =
     Alcotest.test_case "multiply-driven-net via file" `Quick test_multiply_driven_net;
     Alcotest.test_case "combinational-cycle via file names nets" `Quick test_combinational_cycle;
     Alcotest.test_case "arity-mismatch via file" `Quick test_arity_mismatch;
+    Alcotest.test_case "rule from violation" `Quick test_rule_not_from_net_name;
     Alcotest.test_case "parse-error" `Quick test_parse_error;
     Alcotest.test_case "io-error" `Quick test_io_error;
     Alcotest.test_case "invalid-circuit fallback catalogued" `Quick test_invalid_circuit_fallback;

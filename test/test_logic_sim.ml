@@ -74,7 +74,7 @@ let test_xor_settles_last () =
 let test_gate_delay_param () =
   let c = gate_circuit Gate_kind.And in
   let r =
-    Logic_sim.run ~gate_delay:0.25 c ~source_values:(fun _ -> (Value4.Rising, 1.0))
+    Logic_sim.run ~delay_rf:(fun _ -> (0.25, 0.25)) c ~source_values:(fun _ -> (Value4.Rising, 1.0))
   in
   let y = Circuit.find_exn c "y" in
   Alcotest.(check (float 1e-9)) "custom delay" 1.25 r.Logic_sim.times.(y)

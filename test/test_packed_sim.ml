@@ -73,14 +73,14 @@ let test_pack_masks () =
 (* Lane-for-lane oracle check: lane [l] of one packed run must equal —
    symbol and arrival time, at zero tolerance — a scalar run from an
    equal generator. *)
-let lane_exact_check ?gate_delay ?delay_sigma ?mis ~lanes ~seed circuit ~spec =
+let lane_exact_check ?delay_sigma ?mis ~lanes ~seed circuit ~spec =
   let sim = Packed_sim.create circuit in
   let rngs = Array.init lanes (fun l -> Rng.stream ~seed l) in
-  Packed_sim.run ?gate_delay ?delay_sigma ?mis sim ~rngs ~spec;
+  Packed_sim.run ?delay_sigma ?mis sim ~rngs ~spec;
   let n = Circuit.num_nets circuit in
   for l = 0 to lanes - 1 do
     let rng = Rng.stream ~seed l in
-    let r = Logic_sim.run_random ?gate_delay ?delay_sigma ?mis rng circuit ~spec in
+    let r = Logic_sim.run_random ?delay_sigma ?mis rng circuit ~spec in
     for i = 0 to n - 1 do
       let pv = Packed_sim.lane_value sim i ~lane:l in
       if not (Value4.equal pv r.Logic_sim.values.(i)) then

@@ -220,7 +220,7 @@ let test_stream_bit_identity () =
     | None -> { Ssta.rise = Normal.standard; fall = Normal.standard }
   in
   let expected =
-    Ssta.analyze_rf ~delay_rf:(Sized.delay_rf sized ref_circuit asg) ~input_arrival_of
+    Ssta.analyze ~delay_rf:(Sized.delay_rf sized ref_circuit asg) ~input_arrival_of
       ref_circuit
   in
   let bits = Int64.bits_of_float in

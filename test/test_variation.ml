@@ -67,7 +67,7 @@ let test_delay_of_override () =
   let out = List.hd (Circuit.primary_outputs c) in
   let delays = fun g -> if Circuit.level c g = 1 then 0.5 else 2.0 in
   let r =
-    Logic_sim.run ~delay_of:delays c ~source_values:(fun _ -> (Value4.Rising, 0.0))
+    Logic_sim.run ~delay_rf:(fun g -> (delays g, delays g)) c ~source_values:(fun _ -> (Value4.Rising, 0.0))
   in
   close "per-gate delays" 2.5 r.Logic_sim.times.(out)
 
