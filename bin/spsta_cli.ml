@@ -792,14 +792,14 @@ let static_cmd =
   in
   let info =
     Cmd.info "static" ~exits
-      ~doc:"Dataflow static analysis: constants, reconvergence, observability, criticality"
+      ~doc:"Static analysis: constants, reconvergence, observability, criticality"
       ~man:
         [
           `S Manpage.s_description;
           `P
-            "Runs the reusable dataflow passes over each circuit's levelized CSR \
-             form: Fréchet-bounded constant and probability-interval propagation, \
-             post-dominator reconvergent-fanout region detection (the nets where the \
+            "Runs four static passes over each circuit's levelized CSR form: \
+             Fréchet-bounded constant and probability-interval propagation, \
+             reconvergent-fanout region detection (the nets where the \
              paper's eq. 5 independence assumption is unsound), backward \
              observability (dead and constant-masked logic), and min/max arrival \
              bounds that prove gates statically never-critical.  The same facts \

@@ -1,19 +1,16 @@
 (* Interval signal probabilities under arbitrary correlation
    (Fréchet–Hoeffding per-gate bounds), with exact 0/1 endpoints acting
-   as the constant lattice.  Forward pass; the register boundary narrows
-   unpinned flip-flop outputs by intersection with their D interval. *)
+   as the constant lattice.  Forward sweeps over the CSR gate stream;
+   between sweeps the register boundary narrows unpinned flip-flop
+   outputs by intersection with their D interval. *)
 
 module Circuit = Spsta_netlist.Circuit
 module Gate_kind = Spsta_logic.Gate_kind
 
 type t = {
   circuit : Circuit.t;
-  arena : Dataflow.Arena.t;
   lo : float array;
   hi : float array;
-  pin : Bytes.t;  (* sources pinned by p_source: boundary leaves them alone *)
-  scratch : int array;  (* fan-in dedupe workspace, length max_fanin *)
-  mutable stats : Dataflow.stats;
 }
 
 let clamp01 x = Float.max 0.0 (Float.min 1.0 x)
@@ -31,11 +28,11 @@ let xor_step la ha lb hb =
   in
   (l, h)
 
-let transfer t csr k =
+(* [scratch] is the fan-in dedupe workspace, of length max_fanin *)
+let transfer csr scratch lo_a hi_a k =
   let out = csr.Circuit.gate_net.(k) in
   let i0 = csr.Circuit.fanin_off.(k) and i1 = csr.Circuit.fanin_off.(k + 1) in
   let kind = Gate_kind.of_code csr.Circuit.kind_code.(k) in
-  let lo_a = t.lo and hi_a = t.hi in
   let l, h =
     match kind with
     | Gate_kind.Buf | Gate_kind.Not ->
@@ -48,17 +45,17 @@ let transfer t csr k =
         let id = csr.Circuit.fanin.(j) in
         let dup = ref false in
         for s = 0 to !m - 1 do
-          if t.scratch.(s) = id then dup := true
+          if scratch.(s) = id then dup := true
         done;
         if not !dup then (
-          t.scratch.(!m) <- id;
+          scratch.(!m) <- id;
           incr m)
       done;
       let conj = kind = Gate_kind.And || kind = Gate_kind.Nand in
       let l = ref (if conj then 1.0 else 0.0) in
       let h = ref !l in
       for s = 0 to !m - 1 do
-        let id = t.scratch.(s) in
+        let id = scratch.(s) in
         if conj then (
           l := Float.max 0.0 (!l +. lo_a.(id) -. 1.0);
           h := Float.min !h hi_a.(id))
@@ -74,18 +71,18 @@ let transfer t csr k =
         let id = csr.Circuit.fanin.(j) in
         let pos = ref (-1) in
         for s = 0 to !m - 1 do
-          if t.scratch.(s) = id then pos := s
+          if scratch.(s) = id then pos := s
         done;
         if !pos >= 0 then (
-          t.scratch.(!pos) <- t.scratch.(!m - 1);
+          scratch.(!pos) <- scratch.(!m - 1);
           decr m)
         else (
-          t.scratch.(!m) <- id;
+          scratch.(!m) <- id;
           incr m)
       done;
       let l = ref 0.0 and h = ref 0.0 in
       for s = 0 to !m - 1 do
-        let id = t.scratch.(s) in
+        let id = scratch.(s) in
         let l', h' = xor_step !l !h lo_a.(id) hi_a.(id) in
         l := l';
         h := h'
@@ -93,41 +90,36 @@ let transfer t csr k =
       (!l, !h)
   in
   let l, h = if Gate_kind.inverting kind then (1.0 -. h, 1.0 -. l) else (l, h) in
-  let l = clamp01 l and h = clamp01 h in
-  if l <> lo_a.(out) || h <> hi_a.(out) then (
-    lo_a.(out) <- l;
-    hi_a.(out) <- h;
-    true)
-  else false
+  lo_a.(out) <- clamp01 l;
+  hi_a.(out) <- clamp01 h
 
 (* The steady-state one-probability of a flip-flop output equals its D
    net's, so Q may be narrowed by intersection.  An empty intersection
    can only arise from rounding fuzz; keep the old interval then.  The
    tolerance keeps sequential feedback from scheduling rounds for
-   sub-ulp shrinkage (max_rounds still backstops). *)
+   sub-ulp shrinkage ([max_rounds] still backstops). *)
 let narrow_eps = 1e-12
 
-let boundary t circuit =
+let max_rounds = 64
+
+let boundary circuit pin lo_a hi_a =
   let changed = ref false in
   List.iter
     (fun (q, d) ->
-      if Bytes.get t.pin q = '\000' then (
-        let lo = Float.max t.lo.(q) t.lo.(d) and hi = Float.min t.hi.(q) t.hi.(d) in
-        if
-          lo <= hi
-          && (lo -. t.lo.(q) > narrow_eps || t.hi.(q) -. hi > narrow_eps)
-        then (
-          t.lo.(q) <- lo;
-          t.hi.(q) <- hi;
+      if Bytes.get pin q = '\000' then (
+        let lo = Float.max lo_a.(q) lo_a.(d) and hi = Float.min hi_a.(q) hi_a.(d) in
+        if lo <= hi && (lo -. lo_a.(q) > narrow_eps || hi_a.(q) -. hi > narrow_eps) then (
+          lo_a.(q) <- lo;
+          hi_a.(q) <- hi;
           changed := true)))
     (Circuit.dffs circuit);
   !changed
 
-let run ?arena ?p_source ?(max_rounds = 64) circuit =
-  let arena = match arena with Some a -> a | None -> Dataflow.Arena.create circuit in
-  let lo = Dataflow.Arena.floats arena "p_lo" ~init:0.0 in
-  let hi = Dataflow.Arena.floats arena "p_hi" ~init:1.0 in
-  let pin = Dataflow.Arena.bytes arena "p_pin" ~init:'\000' in
+let run ?p_source circuit =
+  let n = Circuit.num_nets circuit in
+  let lo = Array.make n 0.0 and hi = Array.make n 1.0 in
+  (* sources pinned by p_source: the boundary leaves them alone *)
+  let pin = Bytes.make n '\000' in
   (match p_source with
   | None -> ()
   | Some f ->
@@ -143,28 +135,17 @@ let run ?arena ?p_source ?(max_rounds = 64) circuit =
         Bytes.set pin s '\001')
       (Circuit.sources circuit));
   let csr = Circuit.csr circuit in
-  let state =
-    {
-      circuit;
-      arena;
-      lo;
-      hi;
-      pin;
-      scratch = Array.make (max 1 csr.Circuit.max_fanin) 0;
-      stats = { Dataflow.rounds = 0; sweeps = 0; gate_visits = 0 };
-    }
+  let scratch = Array.make (max 1 csr.Circuit.max_fanin) 0 in
+  (* one topological sweep settles the combinational frame; another
+     round follows while the boundary narrows some flip-flop output *)
+  let rec rounds r =
+    for k = 0 to Array.length csr.Circuit.gate_net - 1 do
+      transfer csr scratch lo hi k
+    done;
+    if boundary circuit pin lo hi && r < max_rounds then rounds (r + 1)
   in
-  let module P = struct
-    type nonrec t = t
-
-    let name = "constprop"
-    let direction = `Forward
-    let state = state
-    let transfer = transfer
-    let boundary = boundary
-  end in
-  state.stats <- Dataflow.run ~max_rounds circuit (module P);
-  state
+  rounds 1;
+  { circuit; lo; hi }
 
 let lo t id = t.lo.(id)
 let hi t id = t.hi.(id)
@@ -189,5 +170,3 @@ let num_bounded t =
     if t.hi.(id) -. t.lo.(id) < 1.0 then incr n
   done;
   !n
-
-let stats t = t.stats

@@ -25,16 +25,10 @@
 
 type t
 
-val run :
-  ?arena:Dataflow.Arena.t ->
-  ?p_source:(Spsta_netlist.Circuit.id -> float) ->
-  ?max_rounds:int ->
-  Spsta_netlist.Circuit.t ->
-  t
-(** Lanes ["p_lo"], ["p_hi"], ["p_pin"] in the arena (created fresh when
-    [arena] is omitted; pass an arena that already holds those lanes
-    only if stale contents are acceptable).  Raises [Invalid_argument]
-    if [p_source] yields a value outside [0,1]. *)
+val run : ?p_source:(Spsta_netlist.Circuit.id -> float) -> Spsta_netlist.Circuit.t -> t
+(** One forward sweep over the gates, then one more after each register
+    boundary that narrows a flip-flop output, up to 64 sweeps.  Raises
+    [Invalid_argument] if [p_source] yields a value outside [0,1]. *)
 
 val lo : t -> Spsta_netlist.Circuit.id -> float
 val hi : t -> Spsta_netlist.Circuit.id -> float
@@ -53,5 +47,3 @@ val num_constants : t -> int
 
 val num_bounded : t -> int
 (** Nets whose interval is strictly narrower than [[0,1]]. *)
-
-val stats : t -> Dataflow.stats

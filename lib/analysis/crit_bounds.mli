@@ -16,14 +16,11 @@
 type t
 
 val run :
-  ?arena:Dataflow.Arena.t ->
-  ?delay_bounds:(Spsta_netlist.Circuit.id -> float * float) ->
-  Spsta_netlist.Circuit.t ->
-  t
+  ?delay_bounds:(Spsta_netlist.Circuit.id -> float * float) -> Spsta_netlist.Circuit.t -> t
 (** [delay_bounds net] gives [(dmin, dmax)] for the gate driving [net];
     defaults to the unit-delay model [(1.0, 1.0)].  Raises
     [Invalid_argument] on bounds that are non-finite, negative or
-    inverted.  Uses lanes ["amin"], ["amax"], ["down"]. *)
+    inverted. *)
 
 val bounds_of_library :
   Spsta_netlist.Cell_library.t ->
@@ -53,5 +50,3 @@ val never_critical : t -> Spsta_netlist.Circuit.id -> bool
 
 val num_never_critical : t -> int
 (** Over gate-driven nets. *)
-
-val stats : t -> Dataflow.stats

@@ -10,19 +10,15 @@
     only) cannot.  Without a [constants] argument the pass degrades to
     exactly the structural rule.
 
-    Both lattices are computed in one sweep: ["obs"] (constant-aware)
-    and ["reach"] (structural), so {!sharpened} — dead here, alive
-    structurally — is what the [unobservable-logic] lint rule reports
-    without duplicating the structural rule's findings. *)
+    Both lattices, constant-aware observability and structural
+    reachability, are computed in one sweep, so {!sharpened} — dead
+    here, alive structurally — is what the [unobservable-logic] lint
+    rule reports without duplicating the structural rule's findings. *)
 
 type t
 
-val run :
-  ?arena:Dataflow.Arena.t ->
-  ?constants:Constprop.t ->
-  Spsta_netlist.Circuit.t ->
-  t
-(** Uses lanes ["obs"] and ["reach"]. *)
+val run : ?constants:Constprop.t -> Spsta_netlist.Circuit.t -> t
+(** One reverse-topological sweep over the gates. *)
 
 val observable : t -> Spsta_netlist.Circuit.id -> bool
 
@@ -42,5 +38,3 @@ val sharpened : t -> Spsta_netlist.Circuit.id list
     the [constant-logic] rule's findings, not this one's). *)
 
 val num_sharpened : t -> int
-
-val stats : t -> Dataflow.stats

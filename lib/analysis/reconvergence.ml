@@ -1,10 +1,6 @@
-(* Immediate post-dominators over the combinational net DAG
-   (Cooper–Harvey–Kennedy "a simple, fast dominance algorithm", run on
-   the reverse graph with a virtual sink behind the endpoints).  The
-   DAG lets one reverse-topological sweep finalize every node: all
-   successors of a net are processed before the net itself, so the
-   intersection never sees an unfinished chain and no iteration is
-   needed — which is what makes this a single-round backward PASS. *)
+(* Reconvergent-fanout regions: a bounded forward walk from every
+   fanout stem tracking which branch reached each net, then the forward
+   closure of every remerge net (the taint). *)
 
 module Circuit = Spsta_netlist.Circuit
 module Gate_kind = Spsta_logic.Gate_kind
@@ -18,71 +14,12 @@ type region = {
   gates : int option;
 }
 
-type state = {
-  circuit : Circuit.t;
-  sink : int;  (* = num_nets; ord.(sink) is the maximum *)
-  ord : int array;  (* length num_nets + 1: sources, then topo gates, then sink *)
-  ipdom : int array;  (* per net; sink for "post-dominated only by the sink",
-                         -1 for nets that reach no endpoint *)
-  is_endpoint : Bytes.t;
-}
-
 type t = {
-  st : state;
   taint : Bytes.t;
   stem_mark : Bytes.t;
   regions : region list;
   num_tainted : int;
-  stats : Dataflow.stats;
 }
-
-(* Walk both ipdom chains up (toward the sink, increasing ord) to their
-   nearest common ancestor.  Chains of live nets always terminate at the
-   sink, whose ord is the global maximum. *)
-let intersect st a b =
-  let a = ref a and b = ref b in
-  while !a <> !b do
-    while st.ord.(!a) < st.ord.(!b) do
-      a := st.ipdom.(!a)
-    done;
-    while st.ord.(!b) < st.ord.(!a) do
-      b := st.ipdom.(!b)
-    done
-  done;
-  !a
-
-(* Live combinational successors of a net: consumer gate outputs (the
-   register boundary cuts flip-flop consumers) plus the virtual sink for
-   endpoints.  Dead successors (no path to any endpoint) are skipped —
-   their paths can never remerge with observable logic. *)
-let fold_succ st v f acc =
-  let acc = ref acc in
-  Array.iter
-    (fun s ->
-      match Circuit.driver st.circuit s with
-      | Circuit.Dff_output _ -> ()
-      | _ -> if st.ipdom.(s) <> -1 then acc := f !acc s)
-    (Circuit.fanout st.circuit v);
-  if Bytes.get st.is_endpoint v = '\001' then acc := f !acc st.sink;
-  !acc
-
-let compute_ipdom st v =
-  fold_succ st v (fun acc s -> if acc = -1 then s else intersect st acc s) (-1)
-
-let transfer st csr k =
-  let out = csr.Circuit.gate_net.(k) in
-  let ip = compute_ipdom st out in
-  if ip <> st.ipdom.(out) then (
-    st.ipdom.(out) <- ip;
-    true)
-  else false
-
-(* Sources are not part of the gate stream; their successors are all
-   gates (already final after the sweep), so finish them here.  Nothing
-   crosses a register, hence no further round. *)
-let boundary st circuit =
-  List.iter (fun s -> st.ipdom.(s) <- compute_ipdom st s) (Circuit.sources circuit);
-  false
 
 let popcount m =
   let c = ref 0 and m = ref m in
@@ -92,50 +29,11 @@ let popcount m =
   done;
   !c
 
-let run ?arena ?(region_gate_cap = 64) circuit =
+let run ?(region_gate_cap = 64) circuit =
   if region_gate_cap < 0 then invalid_arg "Reconvergence.run: region_gate_cap < 0";
-  let arena = match arena with Some a -> a | None -> Dataflow.Arena.create circuit in
   let n = Circuit.num_nets circuit in
-  let sink = n in
-  let ord = Array.make (n + 1) 0 in
-  let next = ref 0 in
-  List.iter
-    (fun s ->
-      ord.(s) <- !next;
-      incr next)
-    (Circuit.sources circuit);
-  Array.iter
-    (fun g ->
-      ord.(g) <- !next;
-      incr next)
-    (Circuit.topo_gates circuit);
-  ord.(sink) <- n;
-  let ipdom = Dataflow.Arena.ints arena "pdom" ~init:(-1) in
-  Array.fill ipdom 0 n (-1);
-  let is_endpoint = Bytes.make n '\000' in
-  List.iter (fun e -> Bytes.set is_endpoint e '\001') (Circuit.endpoints circuit);
-  let st = { circuit; sink; ord; ipdom; is_endpoint } in
-  let module P = struct
-    type t = state
-
-    let name = "reconvergence"
-    let direction = `Backward
-    let state = st
-    let transfer = transfer
-    let boundary = boundary
-  end in
-  let stats = Dataflow.run ~max_rounds:1 circuit (module P) in
-  (* Region detection: a bounded forward walk from each stem tracking
-     which branch reached each net.  The ipdom chain alone misses
-     partial reconvergence — a stem with extra diverging fanout has
-     ipdom = sink even when two of its branches remerge a gate away,
-     and partial remerges are exactly where eq. 5 correlation damage
-     happens — so regions come from the walk while the ipdom chain
-     keeps providing the supergate grouping ({!merge_of}). *)
   let stem_mark = Bytes.make n '\000' in
-  (* the lane may hold an earlier run's taint on this arena *)
-  let taint = Dataflow.Arena.bytes arena "taint" ~init:'\000' in
-  Bytes.fill taint 0 n '\000';
+  let taint = Bytes.make n '\000' in
   let stamp = Array.make n (-1) in
   let mask = Array.make n 0 in
   let max_branches = 62 (* one OCaml int of branch bits *) in
@@ -272,19 +170,14 @@ let run ?arena ?(region_gate_cap = 64) circuit =
         if !hit then Bytes.set taint out '\001');
       if Bytes.get taint out = '\001' then incr num_tainted)
     csr.Circuit.gate_net;
-  { st; taint; stem_mark; regions; num_tainted = !num_tainted; stats }
+  { taint; stem_mark; regions; num_tainted = !num_tainted }
 
 let regions t = t.regions
 let num_regions t = List.length t.regions
 
-let merge_of t id =
-  let m = t.st.ipdom.(id) in
-  if m = -1 || m = t.st.sink then None else Some m
-
 let is_stem t id = Bytes.get t.stem_mark id = '\001'
 let tainted t id = Bytes.get t.taint id = '\001'
 let num_tainted t = t.num_tainted
-let stats t = t.stats
 
 (* Independent (eq. 5) propagation — deliberately the naive rule the
    region detection indicts, for measuring its error against the exact

@@ -10,21 +10,15 @@
     reconvergence (branches that remerge while others diverge toward
     different endpoints), the common shape in real netlists; it is
     capped per stem ([region_gate_cap]), so distant remerges are an
-    admitted under-approximation.  Independently, immediate
-    {e post}-dominators over the combinational net DAG
-    (Cooper–Harvey–Kennedy, one reverse-topological sweep, virtual sink
-    behind the endpoints) provide the dominator-based supergate
-    grouping {!merge_of}: when [merge_of stem] is a real gate net [m],
-    {e every} path from the stem runs into [m] and [[stem, m]] is a
-    closed supergate.  Per region the pass records the remerging branch
-    width, the level depth to the merge, and a capped interior net
-    count.
+    admitted under-approximation.  Per region the pass records the
+    remerging branch width, the level depth to the merge, and a capped
+    interior net count.
 
     [tainted] is the forward closure of every remerge net: the set of
     nets whose eq. 5 probability may be unsound.  Everything is
     restricted to the combinational frame (flip-flop boundaries cut
-    both the dominator edges and the taint closure, matching the
-    paper's treatment of flip-flop outputs as fresh sources). *)
+    both the walk and the taint closure, matching the paper's treatment
+    of flip-flop outputs as fresh sources). *)
 
 type region = {
   stem : Spsta_netlist.Circuit.id;  (** the fanout stem *)
@@ -40,22 +34,17 @@ type region = {
 
 type t
 
-val run : ?arena:Dataflow.Arena.t -> ?region_gate_cap:int -> Spsta_netlist.Circuit.t -> t
+val run : ?region_gate_cap:int -> Spsta_netlist.Circuit.t -> t
 (** [region_gate_cap] (default 64) bounds the per-stem forward walk
     (and the first 62 branches of a stem carry tracking bits); it is
     kept for the oracle test's small-cap coverage, and every library
     caller uses the default.  The walk is linear in the nets and edges
-    it touches.  Uses lanes ["pdom"] and ["taint"]. *)
+    it touches. *)
 
 val regions : t -> region list
 (** In topological order of the stem. *)
 
 val num_regions : t -> int
-
-val merge_of : t -> Spsta_netlist.Circuit.id -> Spsta_netlist.Circuit.id option
-(** The immediate post-dominator of a net, when it is a gate net — the
-    dominator-based supergate grouping ([None] for nets that reach no
-    endpoint or whose first post-dominator is the virtual sink). *)
 
 val is_stem : t -> Spsta_netlist.Circuit.id -> bool
 (** Whether the net heads a reconvergent region. *)
@@ -78,5 +67,3 @@ val cross_check :
     defaults to 0.5 everywhere; [max_nodes] (default 200_000) bounds the
     BDD build — returns [] when the circuit is too large to build
     exactly. *)
-
-val stats : t -> Dataflow.stats

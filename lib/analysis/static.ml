@@ -19,7 +19,6 @@ let pass_of_name = function
 
 type t = {
   circuit : Circuit.t;
-  arena : Dataflow.Arena.t;
   constants : Constprop.t option;
   reconvergence : Reconvergence.t option;
   observability : Observability.t option;
@@ -28,21 +27,15 @@ type t = {
 
 let run ?(passes = all_passes) ?p_source ?delay_bounds circuit =
   let want p = List.mem p passes in
-  let arena = Dataflow.Arena.create circuit in
-  let constants =
-    if want `Constants then Some (Constprop.run ~arena ?p_source circuit) else None
-  in
-  let reconvergence =
-    if want `Reconvergence then Some (Reconvergence.run ~arena circuit) else None
-  in
+  let constants = if want `Constants then Some (Constprop.run ?p_source circuit) else None in
+  let reconvergence = if want `Reconvergence then Some (Reconvergence.run circuit) else None in
   let observability =
-    if want `Observability then Some (Observability.run ~arena ?constants circuit)
-    else None
+    if want `Observability then Some (Observability.run ?constants circuit) else None
   in
   let criticality =
-    if want `Criticality then Some (Crit_bounds.run ~arena ?delay_bounds circuit) else None
+    if want `Criticality then Some (Crit_bounds.run ?delay_bounds circuit) else None
   in
-  { circuit; arena; constants; reconvergence; observability; criticality }
+  { circuit; constants; reconvergence; observability; criticality }
 
 let fact_counts t =
   let opt o f = match o with None -> [] | Some x -> f x in

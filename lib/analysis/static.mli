@@ -1,6 +1,6 @@
 (** Orchestrator for the static-analysis passes: runs a selected subset
-    over one shared {!Dataflow.Arena} and bundles the results for the
-    CLI, lint, server and bench consumers. *)
+    on one circuit and bundles the results for the CLI, lint, server
+    and bench consumers. *)
 
 type pass = [ `Constants | `Reconvergence | `Observability | `Criticality ]
 
@@ -16,7 +16,6 @@ val pass_of_name : string -> pass option
 
 type t = {
   circuit : Spsta_netlist.Circuit.t;
-  arena : Dataflow.Arena.t;
   constants : Constprop.t option;
   reconvergence : Reconvergence.t option;
   observability : Observability.t option;

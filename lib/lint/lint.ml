@@ -1,6 +1,5 @@
 module Circuit = Spsta_netlist.Circuit
 module Cell_library = Spsta_netlist.Cell_library
-module Sized_library = Spsta_netlist.Sized_library
 module Bench_io = Spsta_netlist.Bench_io
 module Verilog_io = Spsta_netlist.Verilog_io
 module Gate_kind = Spsta_logic.Gate_kind
@@ -37,7 +36,6 @@ let rules =
     ("undriven-net", Error, "a net is referenced but never driven");
     ("multiply-driven-net", Error, "a net has more than one driver");
     ("combinational-cycle", Error, "gates form a combinational loop (nets named)");
-    ("invalid-circuit", Error, "the netlist was rejected for another structural reason");
     ("no-sources", Error, "the circuit has no primary inputs or flip-flop outputs");
     ("no-endpoints", Error, "the circuit has no primary outputs or flip-flop data pins");
     ("arity-mismatch", Error, "a gate's fan-in violates its kind's arity bounds");
@@ -55,10 +53,6 @@ let rules =
     ("grid-eps", Error, "the truncation threshold is negative, non-finite, or >= 1");
     ("grid-error-bound", Warning, "the worst-case accumulated truncation bound is too large");
     ("grid-dt-coarse", Warning, "the grid step exceeds a source arrival sigma");
-    ( "size-group",
-      Error,
-      "a size group used by the circuit breaks the drive-strength laws: delay must be \
-       finite and non-increasing, area/capacitance non-decreasing" );
     ("constant-logic", Warning, "a gate output is statically tied to 0 or 1");
     ( "unobservable-logic",
       Warning,
@@ -202,50 +196,6 @@ let check_library library circuit =
       let rise, fall = Cell_library.rise_fall_of library kind ~fanin in
       describe "rise" rise @ describe "fall" fall)
     ordered
-
-(* ---------- size groups ---------- *)
-
-let check_sized_library sized circuit =
-  let n = Sized_library.num_sizes sized in
-  let series ~what ~law values =
-    (* [law] is the direction the drive-strength ladder must respect:
-       `Down for delays, `Up for area and capacitance. *)
-    let bad = ref [] in
-    Array.iteri
-      (fun k v ->
-        if not (Spsta_engine.Invariant.finite v) || v < 0.0 then
-          bad := finding "size-group" "%s at size %d is %h" what k v :: !bad)
-      values;
-    for k = 1 to n - 1 do
-      let prev = values.(k - 1) and cur = values.(k) in
-      if Spsta_engine.Invariant.finite prev && Spsta_engine.Invariant.finite cur then begin
-        let broken, direction =
-          match law with
-          | `Down -> (cur > prev, "increases")
-          | `Up -> (cur < prev, "decreases")
-        in
-        if broken then
-          bad :=
-            finding "size-group" "%s %s from size %d to %d (%g -> %g)" what direction
-              (k - 1) k prev cur
-            :: !bad
-      end
-    done;
-    List.rev !bad
-  in
-  List.concat_map
-    (fun (kind, fanin) ->
-      let label what =
-        Printf.sprintf "%s %s (fan-in %d)" (Gate_kind.to_string kind) what fanin
-      in
-      let of_size f = Array.init n (fun k -> f ~size:k kind ~fanin) in
-      let delays = of_size (Sized_library.rise_fall_of sized) in
-      series ~what:(label "rise delay") ~law:`Down (Array.map fst delays)
-      @ series ~what:(label "fall delay") ~law:`Down (Array.map snd delays)
-      @ series ~what:(label "area") ~law:`Up (of_size (Sized_library.area sized))
-      @ series ~what:(label "capacitance") ~law:`Up
-          (of_size (Sized_library.capacitance sized)))
-    (instantiated_pairs circuit)
 
 (* ---------- input statistics ---------- *)
 

@@ -41,15 +41,6 @@ val check_library :
 (** Model rules over the delays of every (kind, fan-in) pair the
     circuit instantiates: [lib-invalid-delay], [lib-zero-delay]. *)
 
-val check_sized_library :
-  Spsta_netlist.Sized_library.t -> Spsta_netlist.Circuit.t -> finding list
-(** Rule [size-group] over every (kind, fan-in) pair the circuit
-    instantiates: each sized variant's rise/fall delay must be finite
-    and non-negative, delays must be non-increasing and area /
-    switched capacitance non-decreasing along the drive-strength
-    ladder.  Catches custom scaling hooks that break the laws
-    {!Spsta_netlist.Sized_library.make} trusts. *)
-
 val check_spec :
   spec:(Spsta_netlist.Circuit.id -> Spsta_sim.Input_spec.t) ->
   Spsta_netlist.Circuit.t ->

@@ -3,9 +3,6 @@ module Gate_kind = Spsta_logic.Gate_kind
 type t = {
   base : Cell_library.t;
   drives : float array;
-  delay_scale : drive:float -> float;
-  area_scale : drive:float -> float;
-  cap_scale : drive:float -> float;
 }
 
 let finite x = Float.is_finite x
@@ -26,34 +23,17 @@ let area_base = function
    capacitance is proportional to transistor width). *)
 let cap_base kind = 2.0 *. area_base kind
 
-let make ?(intrinsic = 0.3) ?delay_scale ?area_scale ?cap_scale ~drives base =
-  if Array.length drives = 0 then invalid_arg "Sized_library.make: empty drive ladder";
-  Array.iter
-    (fun d ->
-      if not (finite d) || d <= 0.0 then
-        invalid_arg "Sized_library.make: drive strengths must be finite and positive")
-    drives;
-  for k = 1 to Array.length drives - 1 do
-    if drives.(k) <= drives.(k - 1) then
-      invalid_arg "Sized_library.make: drive strengths must be strictly increasing"
-  done;
-  if not (finite intrinsic) || intrinsic < 0.0 || intrinsic > 1.0 then
-    invalid_arg "Sized_library.make: intrinsic fraction must lie in [0, 1]";
-  let delay_scale =
-    match delay_scale with
-    | Some f -> f
-    | None -> fun ~drive -> intrinsic +. ((1.0 -. intrinsic) /. drive)
-  in
-  let area_scale = match area_scale with Some f -> f | None -> fun ~drive -> drive in
-  let cap_scale = match cap_scale with Some f -> f | None -> fun ~drive -> drive in
-  { base; drives = Array.copy drives; delay_scale; area_scale; cap_scale }
-
-let family ?(sizes = 4) ?(ratio = 1.5) ?intrinsic base =
+let family ?(sizes = 4) ?(ratio = 1.5) base =
   if sizes < 1 then invalid_arg "Sized_library.family: sizes must be at least 1";
   if not (finite ratio) || ratio <= 1.0 then
     invalid_arg "Sized_library.family: ratio must exceed 1";
-  let drives = Array.init sizes (fun k -> ratio ** float_of_int k) in
-  make ?intrinsic ~drives base
+  if not (finite (ratio ** float_of_int (sizes - 1))) then
+    invalid_arg "Sized_library.family: the drive ladder overflows";
+  { base; drives = Array.init sizes (fun k -> ratio ** float_of_int k) }
+
+(* The scaling laws: a fixed intrinsic share of the base delay does not
+   shrink with drive strength; area and capacitance grow with it. *)
+let intrinsic = 0.3
 
 let default = family Cell_library.default
 
@@ -67,7 +47,8 @@ let drive t k =
   t.drives.(k)
 
 let delay t ~size kind ~fanin direction =
-  Cell_library.delay t.base kind ~fanin direction *. t.delay_scale ~drive:(drive t size)
+  let drive = drive t size in
+  Cell_library.delay t.base kind ~fanin direction *. (intrinsic +. ((1.0 -. intrinsic) /. drive))
 
 let rise_fall_of t ~size kind ~fanin =
   (delay t ~size kind ~fanin `Rise, delay t ~size kind ~fanin `Fall)
@@ -77,10 +58,10 @@ let rise_fall_of t ~size kind ~fanin =
 let fanin_factor fanin = 1.0 +. (0.25 *. float_of_int (max 0 (fanin - 1)))
 
 let area t ~size kind ~fanin =
-  area_base kind *. fanin_factor fanin *. t.area_scale ~drive:(drive t size)
+  area_base kind *. fanin_factor fanin *. drive t size
 
 let capacitance t ~size kind ~fanin =
-  cap_base kind *. fanin_factor fanin *. t.cap_scale ~drive:(drive t size)
+  cap_base kind *. fanin_factor fanin *. drive t size
 
 (* ---------- per-circuit assignments ---------- *)
 

@@ -6,7 +6,7 @@
     cost of area and switched capacitance.
 
     A family is derived from an existing {!Cell_library} by a geometric
-    ladder of drive strengths.  The default scaling laws are the usual
+    ladder of drive strengths.  The scaling laws are the usual
     first-order model
 
     - delay(k)  = base_delay * (intrinsic + (1 - intrinsic) / drive_k)
@@ -14,10 +14,8 @@
     - area(k)   = base_area * drive_k — non-decreasing,
     - cap(k)    = base_cap  * drive_k — non-decreasing,
 
-    so stronger variants are never slower and never smaller.  Custom
-    scaling hooks may violate those monotonicity laws; the lint rule
-    [size-group] ({!Spsta_lint.Lint}) checks them over every (kind,
-    fan-in) pair a circuit actually instantiates.
+    with intrinsic = 0.3, so stronger variants are never slower and
+    never smaller.
 
     A {!assignment} maps every net to the size index of its driving
     gate; it is the mutable state a sizing loop edits in place (see
@@ -25,26 +23,11 @@
 
 type t
 
-val make :
-  ?intrinsic:float ->
-  ?delay_scale:(drive:float -> float) ->
-  ?area_scale:(drive:float -> float) ->
-  ?cap_scale:(drive:float -> float) ->
-  drives:float array ->
-  Cell_library.t ->
-  t
-(** [drives] are the drive strengths of the size group, smallest first.
-    Raises [Invalid_argument] if [drives] is empty, non-finite,
-    non-positive, or not strictly increasing, or if [intrinsic] (default
-    0.3) lies outside [0, 1].  The scaling hooks default to the laws
-    above; they are trusted here and audited by lint rule
-    [size-group]. *)
-
-val family : ?sizes:int -> ?ratio:float -> ?intrinsic:float -> Cell_library.t -> t
-(** The generator: an N-size family ([sizes], default 4) on a geometric
-    drive ladder [1, ratio, ratio^2, ...] ([ratio] default 1.5) with the
-    default scaling laws.  Raises [Invalid_argument] if [sizes < 1] or
-    [ratio <= 1]. *)
+val family : ?sizes:int -> ?ratio:float -> Cell_library.t -> t
+(** An N-size family ([sizes], default 4) on a geometric drive ladder
+    [1, ratio, ratio^2, ...] ([ratio] default 1.5).  Raises
+    [Invalid_argument] if [sizes < 1], if [ratio] is not a finite
+    number above 1, or if the largest drive strength overflows. *)
 
 val default : t
 (** [family Cell_library.default]: four sizes, ratio 1.5. *)

@@ -276,14 +276,6 @@ let test_io_error () =
   check_rule "missing file" "io-error" findings;
   Alcotest.(check int) "exit 3" 3 (Lint.exit_code findings)
 
-let test_invalid_circuit_fallback () =
-  (* every current Builder rejection classifies to a specific rule; the
-     fallback must still be a catalogued Error rule *)
-  match List.find_opt (fun (r, _, _) -> r = "invalid-circuit") Lint.rules with
-  | Some (_, severity, _) ->
-    Alcotest.(check string) "fallback severity" "error" (Lint.severity_name severity)
-  | None -> Alcotest.fail "invalid-circuit missing from catalogue"
-
 (* ---------- cell library rules ---------- *)
 
 let test_lib_invalid_delay () =
@@ -306,52 +298,6 @@ let test_lib_zero_delay () =
   check_rule "zero delay" "lib-zero-delay" (Lint.check_library library (build_clean ()));
   check_no_rule "unit delay clean" "lib-zero-delay"
     (Lint.check_library Cell_library.unit_delay (build_clean ()))
-
-(* ---------- size-group rule ---------- *)
-
-let test_size_group_clean () =
-  (* the generated families obey the laws by construction *)
-  let module Sized = Spsta_netlist.Sized_library in
-  Alcotest.(check (list string)) "default family clean" []
-    (rules_of (Lint.check_sized_library Sized.default (build_clean ())));
-  Alcotest.(check (list string)) "steep family clean" []
-    (rules_of
-       (Lint.check_sized_library (Sized.family ~sizes:6 ~ratio:3.0 Cell_library.default)
-          (build_clean ())))
-
-(* gate-free circuit: no (kind, fan-in) pair is instantiated *)
-let build_no_gates () =
-  let b = Circuit.Builder.create ~name:"wires" () in
-  Circuit.Builder.add_input b "a";
-  Circuit.Builder.add_dff b ~q:"q" ~d:"a";
-  Circuit.Builder.add_output b "q";
-  Circuit.Builder.finalize b
-
-let test_size_group_violations () =
-  let module Sized = Spsta_netlist.Sized_library in
-  (* a custom delay hook that *grows* with drive strength breaks the
-     delay law; a shrinking area hook breaks the area law *)
-  let slower =
-    Sized.make ~delay_scale:(fun ~drive -> drive) ~drives:[| 1.0; 2.0 |] Cell_library.default
-  in
-  let findings = Lint.check_sized_library slower (build_clean ()) in
-  check_rule "increasing delay" "size-group" findings;
-  Alcotest.(check bool) "size-group is an error" true (Lint.has_errors findings);
-  let shrinking =
-    Sized.make ~area_scale:(fun ~drive -> 1.0 /. drive) ~drives:[| 1.0; 2.0 |]
-      Cell_library.default
-  in
-  check_rule "shrinking area" "size-group" (Lint.check_sized_library shrinking (build_clean ()));
-  let nan_cap =
-    Sized.make ~cap_scale:(fun ~drive -> if drive > 1.0 then Float.nan else 1.0)
-      ~drives:[| 1.0; 2.0 |] Cell_library.default
-  in
-  check_rule "non-finite capacitance" "size-group"
-    (Lint.check_sized_library nan_cap (build_clean ()));
-  (* only instantiated (kind, fan-in) pairs are audited: a circuit that
-     never uses the broken variant stays clean *)
-  check_no_rule "uninstantiated pairs not audited" "size-group"
-    (Lint.check_sized_library slower (build_no_gates ()))
 
 (* ---------- input statistics rules ---------- *)
 
@@ -494,11 +440,8 @@ let suite =
     Alcotest.test_case "rule from violation" `Quick test_rule_not_from_net_name;
     Alcotest.test_case "parse-error" `Quick test_parse_error;
     Alcotest.test_case "io-error" `Quick test_io_error;
-    Alcotest.test_case "invalid-circuit fallback catalogued" `Quick test_invalid_circuit_fallback;
     Alcotest.test_case "lib-invalid-delay" `Quick test_lib_invalid_delay;
     Alcotest.test_case "lib-zero-delay" `Quick test_lib_zero_delay;
-    Alcotest.test_case "size-group clean families" `Quick test_size_group_clean;
-    Alcotest.test_case "size-group violations" `Quick test_size_group_violations;
     Alcotest.test_case "spec-probability" `Quick test_spec_probability;
     Alcotest.test_case "spec-arrival" `Quick test_spec_arrival;
     Alcotest.test_case "grid-dt" `Quick test_grid_dt;

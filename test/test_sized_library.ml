@@ -26,15 +26,13 @@ let kinds =
 
 (* ---------- constructor validation ---------- *)
 
-let test_make_validation () =
+let test_family_validation () =
   let base = Spsta_netlist.Cell_library.default in
-  raises "empty drives" (fun () -> Sized.make ~drives:[||] base);
-  raises "non-positive drive" (fun () -> Sized.make ~drives:[| 0.0; 1.0 |] base);
-  raises "non-finite drive" (fun () -> Sized.make ~drives:[| 1.0; Float.infinity |] base);
-  raises "non-increasing drives" (fun () -> Sized.make ~drives:[| 1.0; 1.0 |] base);
-  raises "intrinsic above 1" (fun () -> Sized.make ~intrinsic:1.5 ~drives:[| 1.0 |] base);
   raises "family sizes < 1" (fun () -> Sized.family ~sizes:0 base);
-  raises "family ratio <= 1" (fun () -> Sized.family ~ratio:1.0 base)
+  raises "family ratio <= 1" (fun () -> Sized.family ~ratio:1.0 base);
+  raises "family ratio NaN" (fun () -> Sized.family ~ratio:Float.nan base);
+  raises "family ratio infinite" (fun () -> Sized.family ~ratio:Float.infinity base);
+  raises "drive ladder overflows" (fun () -> Sized.family ~sizes:2000 ~ratio:1.5 base)
 
 let test_family_shape () =
   let t = Sized.family ~sizes:5 ~ratio:2.0 Spsta_netlist.Cell_library.default in
@@ -168,7 +166,7 @@ let upsizing_monotone =
 
 let suite =
   [
-    Alcotest.test_case "constructor validation" `Quick test_make_validation;
+    Alcotest.test_case "constructor validation" `Quick test_family_validation;
     Alcotest.test_case "family generator shape" `Quick test_family_shape;
     Alcotest.test_case "default family monotone" `Quick test_default_family_monotone;
     Alcotest.test_case "size 0 matches base library" `Quick test_size_zero_matches_base;
