@@ -618,18 +618,19 @@ let json_bench_circuit ~mc_runs ~domains name =
   let t_ssta, _, n_ssta = wall_best (fun () -> Ssta.analyze circuit) in
   let t_ssta_par, _, n_ssta_par = wall_best (fun () -> Ssta.analyze ~domains circuit) in
   let t_mc, mc_scalar, n_mc =
-    wall_best (fun () -> Monte_carlo.simulate ~runs:mc_runs ~engine:`Scalar ~seed circuit ~spec)
+    wall_best (fun () ->
+        Monte_carlo.simulate_scalar ~runs:mc_runs ~domains:1 ~seed circuit ~spec)
   in
   let t_mc_par, _, n_mc_par =
     wall_best (fun () ->
-        Monte_carlo.simulate ~runs:mc_runs ~engine:`Scalar ~domains ~seed circuit ~spec)
+        Monte_carlo.simulate_scalar ~runs:mc_runs ~domains ~seed circuit ~spec)
   in
   let t_mc_packed, mc_packed, n_mc_packed =
-    wall_best (fun () -> Monte_carlo.simulate ~runs:mc_runs ~engine:`Packed ~seed circuit ~spec)
+    wall_best (fun () -> Monte_carlo.simulate ~runs:mc_runs ~seed circuit ~spec)
   in
   let t_mc_packed_par, _, n_mc_packed_par =
     wall_best (fun () ->
-        Monte_carlo.simulate ~runs:mc_runs ~engine:`Packed ~domains ~seed circuit ~spec)
+        Monte_carlo.simulate ~runs:mc_runs ~domains ~seed circuit ~spec)
   in
   (* cross-engine fidelity: the packed engine must reproduce the scalar
      reference exactly — equal per-net counts and bit-equal Welford

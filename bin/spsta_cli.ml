@@ -87,9 +87,19 @@ let case_arg =
 
 let spec = Term.(const Workloads.spec_fn $ case_arg)
 
-let runs_arg =
-  let doc = "Monte Carlo runs." in
-  Arg.(value & opt int 10_000 & info [ "runs" ] ~docv:"N" ~doc)
+(* a count option: anything below 1 is a usage error (exit 124) *)
+let count_arg name doc =
+  let positive =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 1 -> Ok n
+      | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected a positive integer" s))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
+  Arg.(value & opt positive 10_000 & info [ name ] ~docv:"N" ~doc)
+
+let runs_arg = count_arg "runs" "Monte Carlo runs."
 
 let seed_arg =
   let doc = "PRNG seed (all analyses are deterministic given the seed)." in
@@ -128,14 +138,6 @@ let mc_domains =
   domains_term [ "mc-domains"; "domains" ]
     "Worker domains for the Monte Carlo trial chunks (0 = one per available core).  \
      Results are bit-identical at every domain count."
-
-let mc_engine_arg =
-  let doc =
-    "Monte Carlo engine: packed (bit-parallel, 64 trials per machine word) or scalar (one \
-     logic simulation per trial — the oracle).  Both return bit-identical statistics."
-  in
-  let engine = Arg.enum [ ("packed", `Packed); ("scalar", `Scalar) ] in
-  Arg.(value & opt engine `Packed & info [ "mc-engine" ] ~docv:"ENGINE" ~doc)
 
 (* flag absent -> None: fall back to the SPSTA_CHECK environment toggle *)
 let check =
@@ -220,14 +222,13 @@ let ssta_cmd =
   Cmd.v info Term.(const run $ circuit $ domains $ check)
 
 let mc_cmd =
-  let run circuit case runs seed domains engine =
+  let run circuit case runs seed domains =
     print_header circuit;
     print_endpoints transition_columns
-      (Engine.mc_payload circuit ~case ~runs ~seed ~top:0 ~engine ~domains)
+      (Engine.mc_payload circuit ~case ~runs ~seed ~top:0 ~domains)
   in
   let info = Cmd.info "mc" ~doc:"Monte Carlo reference simulation" in
-  Cmd.v info
-    Term.(const run $ circuit $ case_arg $ runs_arg $ seed_arg $ mc_domains $ mc_engine_arg)
+  Cmd.v info Term.(const run $ circuit $ case_arg $ runs_arg $ seed_arg $ mc_domains)
 
 module Lint = Spsta_lint.Lint
 
@@ -461,10 +462,7 @@ let sequential_cmd =
       (Circuit.dffs circuit);
     print_endline (Table.render table)
   in
-  let cycles_arg =
-    let doc = "Measured simulation cycles." in
-    Arg.(value & opt int 10_000 & info [ "cycles" ] ~docv:"N" ~doc)
-  in
+  let cycles_arg = count_arg "cycles" "Measured simulation cycles." in
   let info = Cmd.info "sequential" ~doc:"Steady-state flip-flop statistics" in
   Cmd.v info Term.(const run $ circuit $ spec $ cycles_arg $ seed_arg)
 
@@ -1063,8 +1061,8 @@ let gen_cmd =
   Cmd.v info Term.(const run $ circuit_arg $ out_arg $ format_arg)
 
 let experiment_cmd =
-  let run id runs seed mc_engine mc_domains =
-    match Experiments.Runner.run ~runs ~seed ~mc_engine ~mc_domains id with
+  let run id runs seed mc_domains =
+    match Experiments.Runner.run ~runs ~seed ~mc_domains id with
     | output -> print_string output
     | exception Not_found ->
       die "unknown experiment %s (one of: %s)" id
@@ -1075,7 +1073,7 @@ let experiment_cmd =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"ID" ~doc)
   in
   let info = Cmd.info "experiment" ~doc:"Regenerate a paper table or figure" in
-  Cmd.v info Term.(const run $ id_arg $ runs_arg $ seed_arg $ mc_engine_arg $ mc_domains)
+  Cmd.v info Term.(const run $ id_arg $ runs_arg $ seed_arg $ mc_domains)
 
 let list_cmd =
   let run () =

@@ -37,35 +37,18 @@ let top_series ?(dt = 0.05) circuit ~spec ~net =
   Buffer.contents buf
 
 (* rise-arrival samples at [net]; trial [i] draws from
-   [Rng.stream ~seed i], so both engines collect identical samples *)
-let mc_histogram ?(runs = 10_000) ?(seed = 42) ?(bins = 50) ?(engine = `Packed) circuit ~spec ~net
-    =
+   [Rng.stream ~seed i] *)
+let mc_histogram ?(runs = 10_000) ?(seed = 42) ?(bins = 50) circuit ~spec ~net =
   let samples = ref [] in
-  (match engine with
-  | `Scalar ->
-    for run = 0 to runs - 1 do
-      let rng = Spsta_util.Rng.stream ~seed run in
-      let r = Spsta_sim.Logic_sim.run_random rng circuit ~spec in
-      if Spsta_logic.Value4.equal r.Spsta_sim.Logic_sim.values.(net) Spsta_logic.Value4.Rising
-      then samples := r.Spsta_sim.Logic_sim.times.(net) :: !samples
-    done
-  | `Packed ->
-    let sim = Spsta_sim.Packed_sim.create circuit in
-    let base = ref 0 in
-    while !base < runs do
-      let k = min 64 (runs - !base) in
-      let b0 = !base in
-      let rngs = Array.init k (fun l -> Spsta_util.Rng.stream ~seed (b0 + l)) in
-      Spsta_sim.Packed_sim.run sim ~rngs ~spec;
+  let sim = Spsta_sim.Packed_sim.create circuit in
+  Monte_carlo.iter_blocks ~runs ~seed sim ~spec (fun k ->
       for l = 0 to k - 1 do
         if
           Spsta_logic.Value4.equal
             (Spsta_sim.Packed_sim.lane_value sim net ~lane:l)
             Spsta_logic.Value4.Rising
         then samples := Spsta_sim.Packed_sim.lane_time sim net ~lane:l :: !samples
-      done;
-      base := !base + k
-    done);
+      done);
   match !samples with
   | [] -> "time,rise_density\n"
   | samples ->

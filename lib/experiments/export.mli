@@ -19,14 +19,13 @@ val mc_histogram :
   ?runs:int ->
   ?seed:int ->
   ?bins:int ->
-  ?engine:Spsta_sim.Monte_carlo.engine ->
   Spsta_netlist.Circuit.t ->
   spec:(Spsta_netlist.Circuit.id -> Spsta_sim.Input_spec.t) ->
   net:Spsta_netlist.Circuit.id ->
   string
 (** "time,rise_density" histogram of Monte Carlo rise arrivals at a
-    net.  Trial [i] draws from [Rng.stream ~seed i] regardless of
-    [engine] (default packed), so both engines bin the same samples. *)
+    net.  Trial [i] draws from [Rng.stream ~seed i], as in
+    {!Spsta_sim.Monte_carlo}. *)
 
 val chip_delay_distribution :
   ?dt:float ->

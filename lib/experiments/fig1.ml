@@ -2,12 +2,11 @@ module Circuit = Spsta_netlist.Circuit
 module Value4 = Spsta_logic.Value4
 module Normal = Spsta_dist.Normal
 module Clark = Spsta_dist.Clark
-module Logic_sim = Spsta_sim.Logic_sim
+module Monte_carlo = Spsta_sim.Monte_carlo
 module Packed_sim = Spsta_sim.Packed_sim
 module Sta = Spsta_ssta.Sta
 module Ssta = Spsta_ssta.Ssta
 module Histogram = Spsta_util.Histogram
-module Rng = Spsta_util.Rng
 
 type result = {
   circuit_name : string;
@@ -22,33 +21,12 @@ type result = {
 (* per-run chip delay: the latest transition arrival over all endpoints;
    runs whose endpoints are all steady contribute nothing.  Trial [i]
    always draws from [Rng.stream ~seed i] and the samples are collected
-   in ascending trial order, so both engines return the same array. *)
-let chip_delays ?(engine = `Packed) ~runs ~seed circuit ~spec =
+   in ascending trial order. *)
+let chip_delays ~runs ~seed circuit ~spec =
   let endpoints = Circuit.endpoints circuit in
   let delays = ref [] in
-  (match engine with
-  | `Scalar ->
-    for run = 0 to runs - 1 do
-      let rng = Rng.stream ~seed run in
-      let r = Logic_sim.run_random rng circuit ~spec in
-      let latest =
-        List.fold_left
-          (fun acc e ->
-            if Value4.is_transition r.Logic_sim.values.(e) then
-              Float.max acc r.Logic_sim.times.(e)
-            else acc)
-          neg_infinity endpoints
-      in
-      if latest > neg_infinity then delays := latest :: !delays
-    done
-  | `Packed ->
-    let sim = Packed_sim.create circuit in
-    let base = ref 0 in
-    while !base < runs do
-      let k = min 64 (runs - !base) in
-      let b0 = !base in
-      let rngs = Array.init k (fun l -> Rng.stream ~seed (b0 + l)) in
-      Packed_sim.run sim ~rngs ~spec;
+  let sim = Packed_sim.create circuit in
+  Monte_carlo.iter_blocks ~runs ~seed sim ~spec (fun k ->
       for l = 0 to k - 1 do
         let latest =
           List.fold_left
@@ -59,18 +37,16 @@ let chip_delays ?(engine = `Packed) ~runs ~seed circuit ~spec =
             neg_infinity endpoints
         in
         if latest > neg_infinity then delays := latest :: !delays
-      done;
-      base := !base + k
-    done);
+      done);
   let a = Array.of_list !delays in
   (* the list was built by prepending; restore ascending trial order *)
   let n = Array.length a in
   Array.init n (fun i -> a.(n - 1 - i))
 
-let run ?(runs = 10_000) ?(seed = 42) ?mc_engine ?circuit ~case () =
+let run ?(runs = 10_000) ?(seed = 42) ?circuit ~case () =
   let circuit = match circuit with Some c -> c | None -> Benchmarks.load "s344" in
   let spec = Workloads.spec_fn case in
-  let mc_delays = chip_delays ?engine:mc_engine ~runs ~seed circuit ~spec in
+  let mc_delays = chip_delays ~runs ~seed circuit ~spec in
   (* STA with +-3 sigma input arrival bounds (the paper's note that STA
      bounds may represent the +-3 sigma points) *)
   let sta = Sta.analyze ~input_bounds:{ Sta.earliest = -3.0; latest = 3.0 } circuit in

@@ -18,15 +18,12 @@ type result = {
 val run :
   ?runs:int ->
   ?seed:int ->
-  ?mc_engine:Spsta_sim.Monte_carlo.engine ->
   ?circuit:Spsta_netlist.Circuit.t ->
   case:Workloads.case ->
   unit ->
   result
-(** Defaults: 10_000 runs, seed 42, the s344-class circuit, the packed
-    Monte Carlo engine.  Trial [i] always draws from
-    [Rng.stream ~seed i], so [mc_delays] is the same array under either
-    engine. *)
+(** Defaults: 10_000 runs, seed 42, the s344-class circuit.  Trial [i]
+    draws from [Rng.stream ~seed i], as in {!Spsta_sim.Monte_carlo}. *)
 
 val render : result -> string
 (** Histogram of the MC distribution with the bounds and the best/worst

@@ -35,9 +35,9 @@ let of_rows rows =
 
 (* mean relative signal-probability error of SPSTA vs MC over all
    non-source nets whose MC signal probability is bounded away from 0 *)
-let signal_prob_errors ?(runs = 10_000) ?(seed = 42) ?mc_engine ?mc_domains ~case circuit =
+let signal_prob_errors ?(runs = 10_000) ?(seed = 42) ?mc_domains ~case circuit =
   let spec = Workloads.spec_fn case in
-  let mc = Monte_carlo.simulate ~runs ~seed ?engine:mc_engine ?domains:mc_domains circuit ~spec in
+  let mc = Monte_carlo.simulate ~runs ~seed ?domains:mc_domains circuit ~spec in
   let spsta = Analyzer.Moments.analyze circuit ~spec in
   let errors = ref [] in
   Array.iter
@@ -52,15 +52,15 @@ let signal_prob_errors ?(runs = 10_000) ?(seed = 42) ?mc_engine ?mc_domains ~cas
     (Circuit.topo_gates circuit);
   !errors
 
-let run ?(runs = 10_000) ?(seed = 42) ?mc_engine ?mc_domains () =
-  let rows_i = Table2.run_suite ~runs ~seed ?mc_engine ?mc_domains ~case:Workloads.Case_i () in
-  let rows_ii = Table2.run_suite ~runs ~seed ?mc_engine ?mc_domains ~case:Workloads.Case_ii () in
+let run ?(runs = 10_000) ?(seed = 42) ?mc_domains () =
+  let rows_i = Table2.run_suite ~runs ~seed ?mc_domains ~case:Workloads.Case_i () in
+  let rows_ii = Table2.run_suite ~runs ~seed ?mc_domains ~case:Workloads.Case_ii () in
   let arrival_errors = of_rows (rows_i @ rows_ii) in
   let sp_errors =
     List.concat_map
       (fun name ->
         let circuit = Benchmarks.load name in
-        signal_prob_errors ~runs ~seed ?mc_engine ?mc_domains ~case:Workloads.Case_i circuit)
+        signal_prob_errors ~runs ~seed ?mc_domains ~case:Workloads.Case_i circuit)
       Benchmarks.evaluated_names
   in
   {

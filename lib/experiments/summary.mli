@@ -24,13 +24,11 @@ val of_rows : Table2.row list -> errors
 val run :
   ?runs:int ->
   ?seed:int ->
-  ?mc_engine:Spsta_sim.Monte_carlo.engine ->
   ?mc_domains:int ->
   unit ->
   t
 (** Runs Table 2 for both cases plus a per-net signal-probability
-    comparison on the full suite.  [mc_engine]/[mc_domains] select the
-    Monte Carlo engine (default packed) and domain count (default 1);
-    the result is identical for every combination. *)
+    comparison on the full suite.  [mc_domains] (default 1) is the Monte
+    Carlo domain count; the result is identical at every count. *)
 
 val render : t -> string

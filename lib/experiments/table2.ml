@@ -48,9 +48,9 @@ let critical_endpoint circuit (mc : Monte_carlo.result) direction =
       (List.hd endpoints) endpoints
   | e0 :: rest -> List.fold_left (fun best e -> if mean e > mean best then e else best) e0 rest
 
-let run_circuit ?(runs = 10_000) ?(seed = 42) ?mc_engine ?mc_domains circuit ~case =
+let run_circuit ?(runs = 10_000) ?(seed = 42) ?mc_domains circuit ~case =
   let spec = Workloads.spec_fn case in
-  let mc = Monte_carlo.simulate ~runs ~seed ?engine:mc_engine ?domains:mc_domains circuit ~spec in
+  let mc = Monte_carlo.simulate ~runs ~seed ?domains:mc_domains circuit ~spec in
   let spsta = Analyzer.Moments.analyze circuit ~spec in
   let ssta = Ssta.analyze circuit in
   let row direction =
@@ -76,10 +76,10 @@ let run_circuit ?(runs = 10_000) ?(seed = 42) ?mc_engine ?mc_domains circuit ~ca
   in
   [ row `Rise; row `Fall ]
 
-let run_suite ?runs ?seed ?mc_engine ?mc_domains ~case () =
+let run_suite ?runs ?seed ?mc_domains ~case () =
   let circuits = List.map Benchmarks.load Benchmarks.evaluated_names in
   let per_circuit =
-    List.map (fun c -> run_circuit ?runs ?seed ?mc_engine ?mc_domains c ~case) circuits
+    List.map (fun c -> run_circuit ?runs ?seed ?mc_domains c ~case) circuits
   in
   let rises = List.concat_map (fun rows -> List.filter (fun r -> r.direction = `Rise) rows) per_circuit in
   let falls = List.concat_map (fun rows -> List.filter (fun r -> r.direction = `Fall) rows) per_circuit in

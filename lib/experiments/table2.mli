@@ -17,7 +17,6 @@ type row = {
 val run_circuit :
   ?runs:int ->
   ?seed:int ->
-  ?mc_engine:Spsta_sim.Monte_carlo.engine ->
   ?mc_domains:int ->
   Spsta_netlist.Circuit.t ->
   case:Workloads.case ->
@@ -26,14 +25,12 @@ val run_circuit :
     direction as the endpoint with the largest Monte Carlo mean arrival
     (the reference's view of criticality); all three methods are read at
     that same net.  [runs] defaults to 10_000, [seed] to 42.
-    [mc_engine]/[mc_domains] select the Monte Carlo engine and domain
-    count (defaults: bit-parallel packed engine, one domain); the rows
-    are identical for every combination. *)
+    [mc_domains] (default 1) is the Monte Carlo domain count; the rows
+    are identical at every count. *)
 
 val run_suite :
   ?runs:int ->
   ?seed:int ->
-  ?mc_engine:Spsta_sim.Monte_carlo.engine ->
   ?mc_domains:int ->
   case:Workloads.case ->
   unit ->

@@ -16,13 +16,13 @@ let time f =
   let result = f () in
   (result, Sys.time () -. start)
 
-let run_circuit ?(runs = 10_000) ?(seed = 42) ?mc_engine ?mc_domains circuit ~case =
+let run_circuit ?(runs = 10_000) ?(seed = 42) ?mc_domains circuit ~case =
   let spec = Workloads.spec_fn case in
   let _, spsta_seconds = time (fun () -> Analyzer.Moments.analyze circuit ~spec) in
   let _, ssta_seconds = time (fun () -> Ssta.analyze circuit) in
   let _, mc_seconds =
     time (fun () ->
-        Monte_carlo.simulate ~runs ~seed ?engine:mc_engine ?domains:mc_domains circuit ~spec)
+        Monte_carlo.simulate ~runs ~seed ?domains:mc_domains circuit ~spec)
   in
   {
     circuit_name = Spsta_netlist.Circuit.name circuit;
@@ -32,9 +32,9 @@ let run_circuit ?(runs = 10_000) ?(seed = 42) ?mc_engine ?mc_domains circuit ~ca
     mc_runs = runs;
   }
 
-let run_suite ?runs ?seed ?mc_engine ?mc_domains ~case () =
+let run_suite ?runs ?seed ?mc_domains ~case () =
   List.map
-    (fun name -> run_circuit ?runs ?seed ?mc_engine ?mc_domains (Benchmarks.load name) ~case)
+    (fun name -> run_circuit ?runs ?seed ?mc_domains (Benchmarks.load name) ~case)
     Benchmarks.evaluated_names
 
 let render rows =

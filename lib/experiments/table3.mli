@@ -13,7 +13,6 @@ type row = {
 val run_circuit :
   ?runs:int ->
   ?seed:int ->
-  ?mc_engine:Spsta_sim.Monte_carlo.engine ->
   ?mc_domains:int ->
   Spsta_netlist.Circuit.t ->
   case:Workloads.case ->
@@ -22,13 +21,11 @@ val run_circuit :
 val run_suite :
   ?runs:int ->
   ?seed:int ->
-  ?mc_engine:Spsta_sim.Monte_carlo.engine ->
   ?mc_domains:int ->
   case:Workloads.case ->
   unit ->
   row list
-(** [mc_engine] (default the packed engine) and [mc_domains] (default 1)
-    select how the Monte Carlo column is produced; the measured seconds
-    change, the statistics do not. *)
+(** [mc_domains] (default 1) spreads the Monte Carlo column over that
+    many domains; the measured seconds change, the statistics do not. *)
 
 val render : row list -> string

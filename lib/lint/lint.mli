@@ -23,9 +23,6 @@ type finding = {
   message : string;
 }
 
-val severity_name : severity -> string
-(** ["error"], ["warning"], ["info"]. *)
-
 val rules : (string * severity * string) list
 (** The rule catalogue: (identifier, severity, description), in the
     order findings are reported.  [doc/lint.md] mirrors this table. *)
@@ -98,8 +95,6 @@ val exit_code : ?strict:bool -> finding list -> int
 val render_text : finding list -> string
 (** One line per finding: ["  error [rule] message"].  Empty string
     for no findings. *)
-
-val finding_to_json : finding -> string
 
 val json_of_findings : subject:string -> finding list -> string
 (** A JSON object: subject (circuit name or path), per-severity

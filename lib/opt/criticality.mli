@@ -14,17 +14,10 @@
     arrival per net, with adapters from the SSTA result
     ({!of_ssta}) and from any SPSTA analyzer's per-direction transition
     statistics ({!of_transition_stats}) — moment and grid backends
-    alike. *)
+    alike.  Both raise [Invalid_argument] if the circuit has no
+    endpoints. *)
 
 type t
-
-val of_arrivals :
-  Spsta_netlist.Circuit.t ->
-  arrival:(Spsta_netlist.Circuit.id -> Spsta_dist.Normal.t) ->
-  t
-(** [arrival] is the settle-time distribution of every net (both
-    transition directions folded in).  Raises [Invalid_argument] if the
-    circuit has no endpoints. *)
 
 val of_ssta : Spsta_ssta.Ssta.result -> t
 (** Settle time per net = Clark MAX of the rise and fall arrivals. *)

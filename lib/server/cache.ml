@@ -176,9 +176,8 @@ let memo_key ~digest (kind : Protocol.kind) =
   | Protocol.Ssta p ->
     Printf.sprintf "ssta|%s|top=%d%s" digest p.top (if p.check then "|check=1" else "")
   | Protocol.Mc p ->
-    (* deliberately engine-free: the packed and scalar engines return
-       bit-identical results for equal (runs, seed), so a payload cached
-       under one engine is valid for the other *)
+    (* engine-free: every [mc_engine] value is served by the one
+       bit-parallel engine *)
     Printf.sprintf "mc|%s|case=%s|runs=%d|seed=%d|top=%d" digest (Protocol.case_name p.case)
       p.runs p.seed p.top
   | Protocol.Paths p ->

@@ -16,20 +16,6 @@ module Monte_carlo = Spsta_sim.Monte_carlo
 module Stats = Spsta_util.Stats
 module Workloads = Spsta_experiments.Workloads
 
-(* [top = 0] means every endpoint; otherwise the [top] endpoints with the
-   largest mean arrival (ties broken by net id, so the order is stable). *)
-let select_endpoints circuit ~top ~mean_of =
-  let all = Circuit.endpoints circuit in
-  if top <= 0 then all
-  else
-    let scored = List.map (fun e -> (e, mean_of e)) all in
-    let sorted =
-      List.sort (fun (e1, m1) (e2, m2) ->
-          match compare m2 m1 with 0 -> compare e1 e2 | c -> c)
-        scored
-    in
-    List.filteri (fun i _ -> i < top) (List.map fst sorted)
-
 let circuit_header circuit =
   [ ("circuit", Json.string (Circuit.name circuit));
     ("nets", Json.int (Circuit.num_nets circuit));
@@ -37,11 +23,11 @@ let circuit_header circuit =
 
 (* Shared per-endpoint payload assembly: every per-endpoint analysis
    scores the endpoints with [mean_of], keeps the [top] best
-   ({!select_endpoints}), and renders the circuit header, its own
+   ({!Protocol.top_endpoints}), and renders the circuit header, its own
    [extra] request-specific fields, and one [endpoint_json] object per
    selected endpoint. *)
 let endpoints_payload circuit ~top ~extra ~mean_of ~endpoint_json =
-  let endpoints = select_endpoints circuit ~top ~mean_of in
+  let endpoints = Protocol.top_endpoints circuit ~top ~mean_of in
   Json.Obj
     (circuit_header circuit
     @ extra
@@ -93,9 +79,9 @@ let ssta_payload ?check circuit ~top ~domains =
   in
   endpoints_payload circuit ~top ~extra:[] ~mean_of ~endpoint_json
 
-let mc_payload ?domains circuit ~case ~runs ~seed ~top ~engine =
+let mc_payload ?domains circuit ~case ~runs ~seed ~top =
   let spec = Workloads.spec_fn case in
-  let result = Monte_carlo.simulate ~runs ~seed ~engine ?domains circuit ~spec in
+  let result = Monte_carlo.simulate ~runs ~seed ?domains circuit ~spec in
   let endpoint_json e =
     let s = Monte_carlo.stats result e in
     Json.Obj
@@ -237,7 +223,6 @@ let compute_payload ~domains (cache : Cache.t) (kind : Protocol.kind) =
   | Protocol.Ssta p -> ssta_payload (circuit_of p.circuit) ~top:p.top ~check:p.check ~domains
   | Protocol.Mc p ->
     mc_payload (circuit_of p.circuit) ~case:p.case ~runs:p.runs ~seed:p.seed ~top:p.top
-      ~engine:(match p.engine with Protocol.Scalar -> `Scalar | Protocol.Packed -> `Packed)
   | Protocol.Paths p ->
     paths_payload (circuit_of p.circuit) ~k:p.k ~sigma_global:p.sigma_global
       ~sigma_spatial:p.sigma_spatial ~sigma_random:p.sigma_random
@@ -274,10 +259,8 @@ let session_payload sessions cache (kind : Protocol.kind) =
    engine's parallel traversal is bit-identical to the sequential one,
    memo keys need no domains component: cached payloads are valid at
    every domain count.  Monte Carlo likewise runs single-domain inside
-   one worker, but its engine is selectable per request (packed
-   bit-parallel vs scalar oracle); trial [i] always draws from
-   [Rng.stream ~seed i], so both engines — at any domain count — return
-   bit-identical results and the memo key stays engine-free.  The paths
+   one worker on the bit-parallel engine, whatever the request's
+   [mc_engine] says, so its memo key carries no engine either.  The paths
    kind enumerates paths rather than propagating per-net state. *)
 let execute ?(domains = 1) ?sessions (cache : Cache.t) (request : Protocol.request) :
     Protocol.response =

@@ -53,10 +53,10 @@ let case_of_string = function
    back as an [invariant_violation] error instead of a payload. *)
 type analyze_params = { circuit : string; case : case; top : int; check : bool }
 
-(* Which Monte Carlo engine serves the request.  Both produce
-   bit-identical results (the packed engine is the fast path, the scalar
-   one the oracle), so the choice is a throughput knob, not part of the
-   result identity. *)
+(* The request's "mc_engine" field is accepted, checked and re-encoded,
+   but ignored: the server answers every mc request with the
+   bit-parallel engine, whose results equal the scalar reference's bit
+   for bit. *)
 type mc_engine = Scalar | Packed
 
 let mc_engine_name = function Scalar -> "scalar" | Packed -> "packed"
@@ -76,6 +76,20 @@ type mc_params = {
 }
 
 type ssta_params = { circuit : string; top : int; check : bool }
+
+(* What a request's [top] selects: [top <= 0] means every endpoint;
+   otherwise the [top] endpoints with the largest [mean_of] (ties broken
+   by net id, so the order is stable).  The per-endpoint batch kinds and
+   session queries share this rule. *)
+let top_endpoints circuit ~top ~mean_of =
+  let all = Spsta_netlist.Circuit.endpoints circuit in
+  if top <= 0 then all
+  else
+    List.map (fun e -> (e, mean_of e)) all
+    |> List.sort (fun (e1, m1) (e2, m2) ->
+           match Float.compare m2 m1 with 0 -> Int.compare e1 e2 | c -> c)
+    |> List.filteri (fun i _ -> i < top)
+    |> List.map fst
 
 type paths_params = {
   circuit : string;

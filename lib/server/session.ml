@@ -251,24 +251,13 @@ let mutate reg session (m : Protocol.mutation) =
         ("applied", Json.bool (dirty <> [])); ("dirty_gates", Json.int !cone);
         ("update_ms", Json.float elapsed_ms); ("critical", critical_json s) ] )
 
-(* [top = 0] means every endpoint; otherwise the [top] with the largest
-   mean arrival, ties broken by net id (same rule as the batch kinds). *)
 let query reg session ~top =
   let s = find_session reg session in
   let mean_of e =
     let a = Ssta.arrival s.result e in
     Float.max (Normal.mean a.Ssta.rise) (Normal.mean a.Ssta.fall)
   in
-  let endpoints =
-    let all = Circuit.endpoints s.circuit in
-    if top <= 0 then all
-    else
-      List.map (fun e -> (e, mean_of e)) all
-      |> List.sort (fun (e1, m1) (e2, m2) ->
-             match compare m2 m1 with 0 -> compare e1 e2 | c -> c)
-      |> List.filteri (fun i _ -> i < top)
-      |> List.map fst
-  in
+  let endpoints = Protocol.top_endpoints s.circuit ~top ~mean_of in
   let endpoint_json e =
     let a = Ssta.arrival s.result e in
     Json.Obj

@@ -4,8 +4,6 @@ module Stats = Spsta_util.Stats
 module Rng = Spsta_util.Rng
 module Parallel = Spsta_util.Parallel
 
-type engine = [ `Scalar | `Packed ]
-
 type net_stats = {
   n_runs : int;
   count_zero : int;
@@ -50,9 +48,9 @@ let merge a b =
     per_net = Array.mapi (fun i x -> combine x b.per_net.(i)) a.per_net;
   }
 
-(* Per-chunk accumulation state, turned into net_stats when the chunk
-   completes.  The Welford update is written out inline (same-module, so
-   it actually inlines) but reproduces Stats.acc_add's arithmetic
+(* Per-net tally of a run of trials, turned into net_stats when the
+   run completes.  The Welford update is written out inline (same-module,
+   so it actually inlines) but reproduces Stats.acc_add's arithmetic
    exactly — required for the scalar and packed engines to produce
    bit-identical accumulators. *)
 type chunk_acc = {
@@ -96,14 +94,11 @@ let finish_chunk ~circuit ~runs accs =
         accs;
   }
 
-(* ---- scalar engine: one Logic_sim trial per substream ---- *)
-
-let scalar_chunk ?delay_sigma ?mis ~seed ~lo ~hi circuit ~spec =
+let tally circuit ~runs trial =
   let n = Circuit.num_nets circuit in
   let accs = fresh_accs n in
-  for run = lo to hi - 1 do
-    let rng = Rng.stream ~seed run in
-    let r = Logic_sim.run_random ?delay_sigma ?mis rng circuit ~spec in
+  for run = 0 to runs - 1 do
+    let r = trial run in
     let values = r.Logic_sim.values and times = r.Logic_sim.times in
     for i = 0 to n - 1 do
       let a = accs.(i) in
@@ -118,10 +113,33 @@ let scalar_chunk ?delay_sigma ?mis ~seed ~lo ~hi circuit ~spec =
         acc_add a.facc times.(i)
     done
   done;
-  finish_chunk ~circuit ~runs:(hi - lo) accs
+  finish_chunk ~circuit ~runs accs
+
+(* ---- scalar engine: one Logic_sim trial per substream ---- *)
+
+let scalar_chunk ?delay_sigma ?mis ~seed ~lo ~hi circuit ~spec =
+  tally circuit ~runs:(hi - lo) (fun i ->
+      Logic_sim.run_random ?delay_sigma ?mis (Rng.stream ~seed (lo + i)) circuit ~spec)
 
 (* ---- packed engine: 64 trials per block, popcount counts, masked
    lane folds for the time statistics ---- *)
+
+(* The one 64-lane block loop: trials [lo, hi) in blocks of up to 64,
+   lane [l] of a block starting at [b0] drawing from
+   [Rng.stream ~seed (b0 + l)]; [f k] reads the [k] live lanes of [sim]
+   after each block. *)
+let blocks ?delay_sigma ?mis ~seed ~lo ~hi sim ~spec f =
+  let base = ref lo in
+  while !base < hi do
+    let k = min 64 (hi - !base) in
+    let b0 = !base in
+    let rngs = Array.init k (fun l -> Rng.stream ~seed (b0 + l)) in
+    Packed_sim.run ?delay_sigma ?mis sim ~rngs ~spec;
+    f k;
+    base := b0 + k
+  done
+
+let iter_blocks ~runs ~seed sim ~spec f = blocks ~seed ~lo:0 ~hi:runs sim ~spec f
 
 let mask32 = 0xFFFFFFFF
 
@@ -151,43 +169,36 @@ let packed_chunk ?delay_sigma ?mis ~seed ~lo ~hi sim ~spec =
   let accs = fresh_accs n in
   let planes = Packed_sim.raw_planes sim in
   let times = Packed_sim.raw_times sim in
-  let base = ref lo in
-  while !base < hi do
-    let k = min 64 (hi - !base) in
-    let b0 = !base in
-    let rngs = Array.init k (fun l -> Rng.stream ~seed (b0 + l)) in
-    Packed_sim.run ?delay_sigma ?mis sim ~rngs ~spec;
-    let act_lo = if k >= 32 then mask32 else (1 lsl k) - 1 in
-    let act_hi = if k <= 32 then 0 else (1 lsl (k - 32)) - 1 in
-    for i = 0 to n - 1 do
-      let p = i * 4 in
-      let il = Array.unsafe_get planes p land act_lo in
-      let ih = Array.unsafe_get planes (p + 1) land act_hi in
-      let fl = Array.unsafe_get planes (p + 2) land act_lo in
-      let fh = Array.unsafe_get planes (p + 3) land act_hi in
-      let rise_lo = lnot il land fl and rise_hi = lnot ih land fh in
-      let fall_lo = il land lnot fl and fall_hi = ih land lnot fh in
-      let one = popcount32 (il land fl) + popcount32 (ih land fh) in
-      let rise = popcount32 rise_lo + popcount32 rise_hi in
-      let fall = popcount32 fall_lo + popcount32 fall_hi in
-      let a = accs.(i) in
-      a.zero <- a.zero + (k - one - rise - fall);
-      a.one <- a.one + one;
-      a.rise <- a.rise + rise;
-      a.fall <- a.fall + fall;
-      if rise > 0 then begin
-        let tbase = i * 64 in
-        add_masked_times a.racc rise_lo times tbase;
-        add_masked_times a.racc rise_hi times (tbase + 32)
-      end;
-      if fall > 0 then begin
-        let tbase = i * 64 in
-        add_masked_times a.facc fall_lo times tbase;
-        add_masked_times a.facc fall_hi times (tbase + 32)
-      end
-    done;
-    base := !base + k
-  done;
+  blocks ?delay_sigma ?mis ~seed ~lo ~hi sim ~spec (fun k ->
+      let act_lo = if k >= 32 then mask32 else (1 lsl k) - 1 in
+      let act_hi = if k <= 32 then 0 else (1 lsl (k - 32)) - 1 in
+      for i = 0 to n - 1 do
+        let p = i * 4 in
+        let il = Array.unsafe_get planes p land act_lo in
+        let ih = Array.unsafe_get planes (p + 1) land act_hi in
+        let fl = Array.unsafe_get planes (p + 2) land act_lo in
+        let fh = Array.unsafe_get planes (p + 3) land act_hi in
+        let rise_lo = lnot il land fl and rise_hi = lnot ih land fh in
+        let fall_lo = il land lnot fl and fall_hi = ih land lnot fh in
+        let one = popcount32 (il land fl) + popcount32 (ih land fh) in
+        let rise = popcount32 rise_lo + popcount32 rise_hi in
+        let fall = popcount32 fall_lo + popcount32 fall_hi in
+        let a = accs.(i) in
+        a.zero <- a.zero + (k - one - rise - fall);
+        a.one <- a.one + one;
+        a.rise <- a.rise + rise;
+        a.fall <- a.fall + fall;
+        if rise > 0 then begin
+          let tbase = i * 64 in
+          add_masked_times a.racc rise_lo times tbase;
+          add_masked_times a.racc rise_hi times (tbase + 32)
+        end;
+        if fall > 0 then begin
+          let tbase = i * 64 in
+          add_masked_times a.facc fall_lo times tbase;
+          add_masked_times a.facc fall_hi times (tbase + 32)
+        end
+      done);
   finish_chunk ~circuit ~runs:(hi - lo) accs
 
 (* ---- chunked, order-fixed reduction ----
@@ -215,8 +226,9 @@ let rec reduce_tree slots lo hi =
 
 let empty_result circuit = finish_chunk ~circuit ~runs:0 (fresh_accs (Circuit.num_nets circuit))
 
-let simulate ?delay_sigma ?mis ?(runs = 10_000) ?(engine = `Packed) ?(domains = 1)
-    ~seed circuit ~spec =
+(* [chunk ()] makes one chunk function per contiguous chunk range (=
+   per domain), so each domain owns its scratch simulator *)
+let chunked ~runs ~domains circuit chunk =
   if runs < 0 then invalid_arg "Monte_carlo.simulate: negative runs";
   if domains < 1 then invalid_arg "Monte_carlo.simulate: domains must be positive";
   if runs = 0 then empty_result circuit
@@ -224,15 +236,7 @@ let simulate ?delay_sigma ?mis ?(runs = 10_000) ?(engine = `Packed) ?(domains = 
     let nchunks = (runs + chunk_runs - 1) / chunk_runs in
     let slots = Array.make nchunks (empty_result circuit) in
     let compute lo hi =
-      (* one scratch simulator per contiguous chunk range (= per domain) *)
-      let chunk =
-        match engine with
-        | `Scalar ->
-          fun ~lo ~hi -> scalar_chunk ?delay_sigma ?mis ~seed ~lo ~hi circuit ~spec
-        | `Packed ->
-          let sim = Packed_sim.create circuit in
-          fun ~lo ~hi -> packed_chunk ?delay_sigma ?mis ~seed ~lo ~hi sim ~spec
-      in
+      let chunk = chunk () in
       for c = lo to hi - 1 do
         slots.(c) <- chunk ~lo:(c * chunk_runs) ~hi:(min runs ((c + 1) * chunk_runs))
       done
@@ -241,3 +245,12 @@ let simulate ?delay_sigma ?mis ?(runs = 10_000) ?(engine = `Packed) ?(domains = 
     else Parallel.iter_ranges ~domains nchunks compute;
     reduce_tree slots 0 nchunks
   end
+
+let simulate ?delay_sigma ?mis ?(runs = 10_000) ?(domains = 1) ~seed circuit ~spec =
+  chunked ~runs ~domains circuit (fun () ->
+      let sim = Packed_sim.create circuit in
+      fun ~lo ~hi -> packed_chunk ?delay_sigma ?mis ~seed ~lo ~hi sim ~spec)
+
+let simulate_scalar ?delay_sigma ?mis ~runs ~domains ~seed circuit ~spec =
+  chunked ~runs ~domains circuit (fun () ->
+      fun ~lo ~hi -> scalar_chunk ?delay_sigma ?mis ~seed ~lo ~hi circuit ~spec)

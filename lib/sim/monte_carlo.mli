@@ -5,11 +5,10 @@
     Trial [i] always consumes its own generator, [Rng.stream ~seed i],
     and the per-trial observations are folded in a fixed chunked order,
     so the result is a function of [(seed, runs)] alone: bit-identical
-    across engines ([`Scalar] runs one {!Logic_sim.run_random} per
-    trial; [`Packed] propagates 64 trials per {!Packed_sim} block) and
-    across every [domains] count. *)
-
-type engine = [ `Scalar | `Packed ]
+    across every [domains] count, and equal to the scalar reference
+    ({!simulate_scalar}, one {!Logic_sim.run_random} per trial) that
+    the bit-parallel engine ({!Packed_sim}, 64 trials per block) is
+    tested against. *)
 
 type net_stats = {
   n_runs : int;
@@ -42,7 +41,6 @@ val simulate :
   ?delay_sigma:float ->
   ?mis:Spsta_logic.Mis_model.t ->
   ?runs:int ->
-  ?engine:engine ->
   ?domains:int ->
   seed:int ->
   Spsta_netlist.Circuit.t ->
@@ -50,12 +48,45 @@ val simulate :
   result
 (** [runs] defaults to 10_000, matching the paper.  [delay_sigma] adds
     independent N(1, delay_sigma) process variation per gate
-    per run (default 0).  [engine] defaults to [`Packed], the
-    bit-parallel fast path; [`Scalar] is the oracle and produces
-    bit-identical results.  [domains] (default 1) spreads the trial
+    per run (default 0).  Trials run on the bit-parallel engine, 64 per
+    {!Packed_sim} block.  [domains] (default 1) spreads the trial
     chunks over that many OCaml domains — a pure throughput knob, the
     result does not depend on it.  [spec] must be pure.  Raises
     [Invalid_argument] on negative [runs] or non-positive [domains]. *)
+
+val simulate_scalar :
+  ?delay_sigma:float ->
+  ?mis:Spsta_logic.Mis_model.t ->
+  runs:int ->
+  domains:int ->
+  seed:int ->
+  Spsta_netlist.Circuit.t ->
+  spec:(Spsta_netlist.Circuit.id -> Input_spec.t) ->
+  result
+(** The scalar reference: {!simulate}'s trials, chunks and reduction
+    with one {!Logic_sim.run_random} per trial, for tests and benchmarks
+    to hold the bit-parallel engine against.  Bit-identical to
+    {!simulate} at the same arguments. *)
+
+val tally :
+  Spsta_netlist.Circuit.t -> runs:int -> (int -> Logic_sim.result) -> result
+(** [tally circuit ~runs trial] folds the scalar trials [trial 0] ..
+    [trial (runs - 1)], in that order, into per-net counts and arrival
+    accumulators — the per-trial bookkeeping of every scalar Monte Carlo
+    loop (the reference above and {!Sequential_sim}). *)
+
+val iter_blocks :
+  runs:int ->
+  seed:int ->
+  Packed_sim.t ->
+  spec:(Spsta_netlist.Circuit.id -> Input_spec.t) ->
+  (int -> unit) ->
+  unit
+(** [iter_blocks ~runs ~seed sim ~spec f] runs trials [0 .. runs - 1]
+    on [sim] in blocks of up to 64, lane [l] of the block that starts at
+    trial [b] drawing from [Rng.stream ~seed (b + l)] — the trials
+    {!simulate} runs — and calls [f k] after each block, whose [k] live
+    lanes [sim] then holds.  Blocks come in ascending trial order. *)
 
 val merge : result -> result -> result
 (** Combine two results over the same circuit (e.g. shards of a larger

@@ -48,16 +48,11 @@ val iter_ranges : domains:int -> int -> (int -> int -> unit) -> unit
     same as it always was, so callers see identical range decompositions
     at every domain count. *)
 
-val shutdown_pool : unit -> unit
-(** Stop and join every pool worker (registered with [at_exit]
-    automatically when the first worker is spawned).  Subsequent
-    parallel calls run inline.  Only meaningful from the main domain
-    with no job in flight. *)
-
 val pool_size : unit -> int
 (** Number of worker domains currently alive in the pool (0 before any
     parallel call).  Monotone: the pool grows to the largest
-    [domains - 1] requested and never shrinks until {!shutdown_pool}. *)
+    [domains - 1] requested and never shrinks; the workers are stopped
+    and joined at exit. *)
 
 val pool_jobs : unit -> int
 (** Total number of pooled jobs executed so far (one per parallel level

@@ -78,7 +78,7 @@ let golden =
     ("analyze_s27_case_II", "analyze s27 --case II");
     ("ssta_s27", "ssta s27");
     ("mc_s27_runs_200", "mc s27 --runs 200");
-    ("mc_s27_scalar_domains_2", "mc s27 --runs 200 --mc-engine scalar --domains 2");
+    ("mc_s27_runs_200_domains_2", "mc s27 --runs 200 --domains 2");
     ("lint_s27", "lint s27");
     ("static_s27_s344", "static s27 s344");
     ("static_s27_s344_json", "static s27 s344 --json");
@@ -124,8 +124,12 @@ let bad_values =
   [ ("bad case", "analyze s27 --case III", "--case", "III", [ "i"; "1"; "I"; "ii"; "2"; "II" ]);
     ("bad lib", "lint s27 --lib bogus", "--lib", "bogus", [ "unit"; "default" ]);
     ("bad format", "gen s27 --format bogus", "--format", "bogus", [ "bench"; "verilog"; "v" ]);
-    ("bad initial", "size s27 --initial bogus", "--initial", "bogus", [ "smallest"; "largest" ])
-  ]
+    ("bad initial", "size s27 --initial bogus", "--initial", "bogus", [ "smallest"; "largest" ]);
+    ("negative mc runs", "mc s27 --runs=-5", "--runs", "-5", []);
+    ("negative table2 runs", "experiment table2 --runs=-1", "--runs", "-1", []);
+    ("zero fig1 runs", "experiment fig1 --runs=0", "--runs", "0", []);
+    ("negative export runs", "export s27 --runs=-3", "--runs", "-3", []);
+    ("negative cycles", "sequential s27 --cycles=-1", "--cycles", "-1", []) ]
 
 let test_bad_value (_, args, option, value, choices) () =
   let code, stdout, stderr = run_cli args in

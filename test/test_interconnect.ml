@@ -220,8 +220,8 @@ let delay_pin_rows () =
       ssta label r)
     [ ("ssta unit", None); ("ssta wire", Some wire_rf); ("ssta cell", Some cell_rf) ];
   List.iter
-    (fun (label, engine) ->
-      let r = Mc.simulate ~delay_sigma:0.1 ~runs:200 ~engine ~seed:7 c ~spec in
+    (fun (label, simulate) ->
+      let r = simulate c in
       List.iter
         (fun e ->
           let s = Mc.stats r e in
@@ -232,7 +232,9 @@ let delay_pin_rows () =
               ("fall_mu", Spsta_util.Stats.acc_mean s.Mc.fall_times);
               ("fall_sigma", Spsta_util.Stats.acc_stddev s.Mc.fall_times) ])
         endpoints)
-    [ ("mc scalar", `Scalar); ("mc packed", `Packed) ];
+    [ ( "mc scalar",
+        fun c -> Mc.simulate_scalar ~delay_sigma:0.1 ~runs:200 ~domains:1 ~seed:7 c ~spec );
+      ("mc packed", fun c -> Mc.simulate ~delay_sigma:0.1 ~runs:200 ~seed:7 c ~spec) ];
   List.rev !rows
 
 let test_delay_bits_pinned () =

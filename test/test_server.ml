@@ -383,8 +383,7 @@ let golden_payloads () =
     ("ssta s344", fun () -> E.ssta_payload (load "s344") ~top:3 ~check:false ~domains:1);
     ( "mc s27",
       fun () ->
-        E.mc_payload (load "s27") ~case:Protocol.Case_i ~runs:100 ~seed:3 ~top:0
-          ~engine:`Packed ) ]
+        E.mc_payload (load "s27") ~case:Protocol.Case_i ~runs:100 ~seed:3 ~top:0 ) ]
 
 let test_payload_bytes () =
   let path =
@@ -403,7 +402,20 @@ let test_payload_bytes () =
   List.iter2
     (fun (label, bytes) (_, payload) ->
       Alcotest.(check string) label bytes (Json.to_string (payload ())))
-    expected cases
+    expected cases;
+  (* "mc_engine" is accepted and ignored: a scalar request is answered
+     with the packed row's bytes *)
+  let line =
+    {|{"id":"s","kind":"mc","circuit":"s27","case":"I","runs":100,"seed":3,"mc_engine":"scalar"}|}
+  in
+  match Protocol.request_of_line line with
+  | Error _ -> Alcotest.fail "scalar mc request rejected"
+  | Ok request -> (
+    match Spsta_server.Engine.execute (Cache.create ()) request with
+    | Protocol.Ok { result; _ } ->
+      Alcotest.(check string) "mc_engine scalar" (List.assoc "mc s27" expected)
+        (Json.to_string result)
+    | _ -> Alcotest.fail "scalar mc request failed")
 
 let suite =
   [
