@@ -87,17 +87,29 @@ let case_arg =
 
 let spec = Term.(const Workloads.spec_fn $ case_arg)
 
-(* a count option: anything below 1 is a usage error (exit 124) *)
-let count_arg name doc =
-  let positive =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok n
-      | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected a positive integer" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
+(* A number option whose out-of-range values are usage errors (exit
+   124) rather than a failure deep inside the analysis. *)
+let checked_conv of_string accept expected pp =
+  let parse s =
+    match of_string s with
+    | Some v when accept v -> Ok v
+    | Some _ | None -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
   in
-  Arg.(value & opt positive 10_000 & info [ name ] ~docv:"N" ~doc)
+  Arg.conv (parse, pp)
+
+let positive_int =
+  checked_conv int_of_string_opt (fun n -> n >= 1) "a positive integer" Format.pp_print_int
+
+let non_negative_int =
+  checked_conv int_of_string_opt (fun n -> n >= 0) "a non-negative integer" Format.pp_print_int
+
+let sigma_float =
+  checked_conv float_of_string_opt
+    (fun x -> Float.is_finite x && x >= 0.0)
+    "a finite non-negative number"
+    (fun ppf x -> Format.fprintf ppf "%g" x)
+
+let count_arg name doc = Arg.(value & opt positive_int 10_000 & info [ name ] ~docv:"N" ~doc)
 
 let runs_arg = count_arg "runs" "Monte Carlo runs."
 
@@ -120,12 +132,8 @@ let dt_arg =
 
 (* 0 resolves to one domain per available core *)
 let domains_term names doc =
-  let resolve = function
-    | 0 -> Spsta_util.Parallel.default_domains ()
-    | d when d >= 1 -> d
-    | d -> die "--domains must be non-negative (got %d)" d
-  in
-  Term.(const resolve $ Arg.(value & opt int 1 & info names ~docv:"N" ~doc))
+  let resolve = function 0 -> Spsta_util.Parallel.default_domains () | d -> d in
+  Term.(const resolve $ Arg.(value & opt non_negative_int 1 & info names ~docv:"N" ~doc))
 
 let domains =
   domains_term [ "domains" ]
@@ -159,7 +167,7 @@ let library ~default doc =
 
 (* A process-variation model with all three sigmas defaulting to [default]. *)
 let param_model ~default grid =
-  let sigma name doc = Arg.(value & opt float default & info [ name ] ~docv:"SIGMA" ~doc) in
+  let sigma name doc = Arg.(value & opt sigma_float default & info [ name ] ~docv:"SIGMA" ~doc) in
   let create sigma_global sigma_spatial sigma_random grid =
     Spsta_variation.Param_model.create ~sigma_global ~sigma_spatial ~sigma_random ~grid ()
   in
@@ -525,7 +533,7 @@ let variation_cmd =
   in
   let grid_arg =
     let doc = "Spatial-correlation grid dimension." in
-    Arg.(value & opt int 4 & info [ "grid" ] ~docv:"G" ~doc)
+    Arg.(value & opt positive_int 4 & info [ "grid" ] ~docv:"G" ~doc)
   in
   let info = Cmd.info "variation" ~doc:"Canonical-form SSTA under process variation" in
   Cmd.v info

@@ -337,6 +337,10 @@ let find_exn t name =
 
 let driver t i = t.drivers.(i)
 
+(* [retype_gate] writes only [drivers] and the cached CSR's [kind_code];
+   every other field is immutable after [finalize] and can be shared *)
+let copy t = { t with drivers = Array.copy t.drivers; csr = None }
+
 (* In-place driver-kind swap for ECO edits.  Topology, levels, topo
    order and fanout maps all depend only on the input edges, which are
    untouched, so every precomputed structure stays valid. *)

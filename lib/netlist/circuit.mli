@@ -55,6 +55,13 @@ val find_exn : t -> string -> id
 
 val driver : t -> id -> driver
 
+val copy : t -> t
+(** A copy that {!retype_gate} can edit without touching the original.
+    Only the driver table is duplicated, and the copy builds its own
+    {!csr} on first use; names, net ids, fanout maps, topological order,
+    levels, sources and endpoints are shared, so the copy answers every
+    query with the original's ids.  O(nets). *)
+
 val retype_gate : t -> id -> Spsta_logic.Gate_kind.t -> unit
 (** Swap the logical function of the gate driving this net, in place —
     an ECO edit, deliberately {e not} semantics-preserving.  The input

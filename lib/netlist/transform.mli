@@ -1,25 +1,8 @@
-(** Structural netlist transformations.
+(** Netlist edits and counters.
 
-    {!decompose_gates} and {!strip_buffers} are semantics-preserving
-    rewrites (checked by property tests): the transformed circuit
-    computes the same Boolean function on every net that survives, which
-    also pins down the probabilistic analyses — signal probabilities are
-    invariant, and unit-delay arrival times scale with the structural
-    depth in a predictable way.  {!resize_gate} and {!retype_gate} are
-    instead ECO edits: in-place mutations whose dirty net set feeds the
-    incremental analyzers. *)
-
-val decompose_gates : Circuit.t -> Circuit.t
-(** Rewrite every gate with more than two inputs into a balanced tree
-    of two-input gates of the base
-    associative kind, with the inversion (for NAND/NOR/XNOR) applied at
-    the root.  Net names of original gates are preserved; helper nets get
-    fresh names. *)
-
-val strip_buffers : Circuit.t -> Circuit.t
-(** Remove BUF gates by reconnecting their fanout to their input.
-    Buffers that drive primary outputs or flip-flops are kept (the name
-    is part of the interface). *)
+    {!resize_gate} and {!retype_gate} are ECO edits: in-place mutations
+    whose dirty net set feeds the incremental analyzers.  {!statistics}
+    reports structural counters. *)
 
 val resize_gate :
   Sized_library.t -> Circuit.t -> Sized_library.assignment -> Circuit.id -> size:int ->

@@ -417,6 +417,12 @@ let decode_request_json (json : Json.t) : (request, decode_error) Stdlib.result 
           opt_with ~id json "sigma_random" Json.to_float_opt "a number" ~default:0.05
         in
         if k <= 0 then decode_fail ~id Bad_field "field \"k\" must be positive"
+        else if
+          not
+            (List.for_all
+               (fun x -> Float.is_finite x && x >= 0.0)
+               [ sigma_global; sigma_spatial; sigma_random ])
+        then decode_fail ~id Bad_field "path sigmas must be finite and non-negative"
         else Stdlib.Ok (Paths { circuit; k; sigma_global; sigma_spatial; sigma_random })
       | "size" ->
         let* circuit = field_string ~id json "circuit" in

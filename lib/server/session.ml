@@ -6,9 +6,11 @@
    source's arrival statistics — each with a dirty-cone incremental
    re-analysis ({!Spsta_ssta.Ssta.update}) that refines the session's
    result in place, so a mutation costs its cone and nothing more.  The
-   session owns a *private copy* of the circuit: retype mutates driver
-   records in place, and the cache's circuit object is shared with
-   concurrent batch requests, so sessions must never alias it.
+   session holds its own {!Spsta_netlist.Circuit.copy} of the cached
+   circuit: retype swaps driver records in place, and the cache's circuit
+   is shared with concurrent batch requests, so the session gets its own
+   driver table.  Everything else — net ids included — is shared, so a
+   session names and ranks nets exactly as the batch kinds do.
 
    Concurrency contract: the worker pool serializes all requests of one
    session via its affinity key (see {!Pool}), so at most one request
@@ -36,7 +38,7 @@ let now () = Unix.gettimeofday ()
 
 type t = {
   key : string;
-  circuit : Circuit.t; (* private copy; retype mutates it in place *)
+  circuit : Circuit.t; (* own driver table; retype mutates it in place *)
   sized : Sized.t;
   assignment : Sized.assignment;
   (* arrival overrides for timing sources; absent sources keep the
@@ -51,21 +53,6 @@ type t = {
   mutable last_active : float;
   created : float;
 }
-
-(* Rebuild the circuit from its interface and gate list so the session
-   owns every mutable driver record.  Net ids are freshly assigned and
-   may differ from the cache's copy; they never leave the session. *)
-let copy_circuit circuit =
-  let b = Spsta_netlist.Builder_of_circuit.builder_with_interface circuit in
-  Array.iter
-    (fun g ->
-      match Circuit.driver circuit g with
-      | Circuit.Gate { kind; inputs } ->
-        Circuit.Builder.add_gate b ~output:(Circuit.net_name circuit g) kind
-          (Array.to_list (Array.map (Circuit.net_name circuit) inputs))
-      | Circuit.Input | Circuit.Dff_output _ -> ())
-    (Circuit.topo_gates circuit);
-  Circuit.Builder.finalize b
 
 let default_arrival = { Ssta.rise = Normal.standard; fall = Normal.standard }
 
@@ -158,7 +145,7 @@ let open_session reg cache (p : Protocol.session_open_params) =
       if Hashtbl.length reg.table >= reg.max_sessions then
         fail Protocol.Session_limit "session limit %d reached" reg.max_sessions);
   let loaded = Cache.load_circuit cache p.Protocol.circuit in
-  let circuit = copy_circuit loaded.Cache.circuit in
+  let circuit = Circuit.copy loaded.Cache.circuit in
   let sized =
     Sized.family ~sizes:p.Protocol.sizes ~ratio:p.Protocol.ratio
       Spsta_netlist.Cell_library.default

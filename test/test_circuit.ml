@@ -193,6 +193,66 @@ let test_count_gates_of_kind () =
   Alcotest.(check int) "AND gates" 1 (Circuit.count_gates_of_kind c Gate_kind.And);
   Alcotest.(check int) "XOR gates" 0 (Circuit.count_gates_of_kind c Gate_kind.Xor)
 
+(* A copy shares everything but the driver table: retyping on the copy
+   must leave the original's driver, cached kind code and SSTA arrivals
+   bit-identical, and an unedited copy must analyse exactly as the
+   original does. *)
+let test_copy_isolates_retype () =
+  let module Ssta = Spsta_ssta.Ssta in
+  let module Normal = Spsta_dist.Normal in
+  let c = Spsta_experiments.Benchmarks.load "s344" in
+  let arrivals circuit =
+    let r =
+      Ssta.analyze
+        ~delay_rf:(Spsta_netlist.Cell_library.gate_delays Spsta_netlist.Cell_library.default circuit)
+        circuit
+    in
+    Array.init (Circuit.num_nets circuit) (fun id ->
+        let a = Ssta.arrival r id in
+        List.map Int64.bits_of_float
+          [ Normal.mean a.Ssta.rise; Normal.stddev a.Ssta.rise; Normal.mean a.Ssta.fall;
+            Normal.stddev a.Ssta.fall ])
+  in
+  let before = arrivals c in
+  let codes_before = Array.copy (Circuit.csr c).Circuit.kind_code in
+  let untouched = Circuit.copy c in
+  Alcotest.(check bool) "unedited copy analyses identically" true (arrivals untouched = before);
+  let copy = Circuit.copy c in
+  let g = (Circuit.topo_gates c).(0) in
+  let kind, flipped =
+    match Circuit.driver c g with
+    | Circuit.Gate { kind; _ } ->
+      (* the same function with the output inversion flipped: the arity
+         bounds match, and inverting gates swap rise and fall in SSTA *)
+      let flipped =
+        match kind with
+        | Gate_kind.And -> Gate_kind.Nand
+        | Gate_kind.Nand -> Gate_kind.And
+        | Gate_kind.Or -> Gate_kind.Nor
+        | Gate_kind.Nor -> Gate_kind.Or
+        | Gate_kind.Xor -> Gate_kind.Xnor
+        | Gate_kind.Xnor -> Gate_kind.Xor
+        | Gate_kind.Not -> Gate_kind.Buf
+        | Gate_kind.Buf -> Gate_kind.Not
+      in
+      (kind, flipped)
+    | Circuit.Input | Circuit.Dff_output _ -> Alcotest.fail "topo gate is not a gate"
+  in
+  Circuit.retype_gate copy g flipped;
+  let kind_of circuit =
+    match Circuit.driver circuit g with
+    | Circuit.Gate { kind; _ } -> Gate_kind.to_string kind
+    | Circuit.Input | Circuit.Dff_output _ -> "source"
+  in
+  Alcotest.(check string) "copy retyped" (Gate_kind.to_string flipped) (kind_of copy);
+  Alcotest.(check string) "original driver kept" (Gate_kind.to_string kind) (kind_of c);
+  Alcotest.(check (array int)) "original kind codes kept" codes_before
+    (Circuit.csr c).Circuit.kind_code;
+  Alcotest.(check int) "copy's kind code follows the retype" (Gate_kind.to_code flipped)
+    (Circuit.csr copy).Circuit.kind_code.(Circuit.topo_position copy g);
+  Alcotest.(check bool) "original arrivals kept" true (arrivals c = before);
+  Alcotest.(check bool) "the retype moved the copy's arrivals" false (arrivals copy = before)
+
 let suite =
   [
     Alcotest.test_case "basic structure" `Quick test_basic_structure;
@@ -210,4 +270,5 @@ let suite =
     Alcotest.test_case "gate arity validated" `Quick test_arity_validation;
     Alcotest.test_case "undriven output rejected" `Quick test_undriven_output;
     Alcotest.test_case "count gates of kind" `Quick test_count_gates_of_kind;
+    Alcotest.test_case "copy isolates retype" `Quick test_copy_isolates_retype;
   ]

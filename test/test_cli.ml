@@ -118,8 +118,9 @@ let test_unknown_circuit () =
   Alcotest.(check string) "stderr" "error: nosuch is neither a file nor a suite circuit\n" stderr;
   Alcotest.(check int) "exit code" 1 code
 
-(* A bad enum value is a command-line error: exit 124, with a message
-   naming the option, the value and every choice. *)
+(* A bad enum value or an out-of-range number is a command-line error:
+   exit 124, with a message naming the option, the value and every
+   choice. *)
 let bad_values =
   [ ("bad case", "analyze s27 --case III", "--case", "III", [ "i"; "1"; "I"; "ii"; "2"; "II" ]);
     ("bad lib", "lint s27 --lib bogus", "--lib", "bogus", [ "unit"; "default" ]);
@@ -129,7 +130,13 @@ let bad_values =
     ("negative table2 runs", "experiment table2 --runs=-1", "--runs", "-1", []);
     ("zero fig1 runs", "experiment fig1 --runs=0", "--runs", "0", []);
     ("negative export runs", "export s27 --runs=-3", "--runs", "-3", []);
-    ("negative cycles", "sequential s27 --cycles=-1", "--cycles", "-1", []) ]
+    ("negative cycles", "sequential s27 --cycles=-1", "--cycles", "-1", []);
+    ("negative sigma", "variation s27 --sigma-global=-1", "--sigma-global", "-1", []);
+    ("zero grid", "variation s27 --grid=0", "--grid", "0", []);
+    ("negative paths sigma", "paths s27 --sigma-random=-0.5", "--sigma-random", "-0.5", []);
+    ("nan sigma", "variation s27 --sigma-spatial=nan", "--sigma-spatial", "nan", []);
+    ("infinite sigma", "variation s27 --sigma-random=inf", "--sigma-random", "inf", []);
+    ("negative domains", "mc s27 --domains=-1", "--domains", "-1", []) ]
 
 let test_bad_value (_, args, option, value, choices) () =
   let code, stdout, stderr = run_cli args in

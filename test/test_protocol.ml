@@ -250,6 +250,8 @@ let test_reject_bad_field () =
       "{\"id\":\"x\",\"kind\":\"mc\",\"circuit\":\"s27\",\"mc_engine\":\"quantum\"}";
       "{\"id\":\"x\",\"kind\":\"mc\",\"circuit\":\"s27\",\"mc_engine\":3}";
       "{\"id\":\"x\",\"kind\":\"paths\",\"circuit\":\"s27\",\"k\":0}";
+      "{\"id\":\"x\",\"kind\":\"paths\",\"circuit\":\"s27\",\"sigma_global\":-1}";
+      "{\"id\":\"x\",\"kind\":\"paths\",\"circuit\":\"s27\",\"sigma_random\":1e999}";
       "{\"id\":\"x\",\"kind\":\"size\",\"circuit\":\"s27\",\"quantile\":1.5}";
       "{\"id\":\"x\",\"kind\":\"size\",\"circuit\":\"s27\",\"target\":0}";
       "{\"id\":\"x\",\"kind\":\"size\",\"circuit\":\"s27\",\"ratio\":1.0}";

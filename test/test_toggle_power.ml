@@ -1,7 +1,6 @@
 module Circuit = Spsta_netlist.Circuit
 module Gate_kind = Spsta_logic.Gate_kind
 module Input_spec = Spsta_sim.Input_spec
-module Toggle_correlation = Spsta_core.Toggle_correlation
 module Two_value = Spsta_core.Two_value
 module Transition_density = Spsta_power.Transition_density
 module Power_model = Spsta_power.Power_model
@@ -41,49 +40,6 @@ let test_density_xor_chain () =
   let c = Circuit.Builder.finalize b in
   let d = Transition_density.compute c ~p_one:(fun _ -> 0.5) ~source_rate:(fun _ -> 0.3) in
   close "XOR density adds" 0.6 (Transition_density.density d (Circuit.find_exn c "y"))
-
-let test_toggle_correlation_means () =
-  (* eq. 13 means equal the transition-density computation *)
-  let c = Spsta_experiments.Benchmarks.s27 () in
-  let spec _ = Input_spec.case_i in
-  let t = Toggle_correlation.of_input_specs c ~spec in
-  let d = Transition_density.of_input_specs c ~spec in
-  Array.iter
-    (fun g ->
-      close
-        ("mean rate of " ^ Circuit.net_name c g)
-        (Transition_density.density d g) (Toggle_correlation.mean_rate t g) ~tol:1e-9)
-    (Circuit.topo_gates c)
-
-let test_toggle_correlation_sources () =
-  let c = and_gate () in
-  let t = Toggle_correlation.of_input_specs c ~spec:(fun _ -> Input_spec.case_i) in
-  let a = Circuit.find_exn c "a" and b = Circuit.find_exn c "b" in
-  close "source variance" 0.25 (Toggle_correlation.variance t a);
-  close "independent sources" 0.0 (Toggle_correlation.covariance t a b);
-  close "self correlation" 1.0 (Toggle_correlation.correlation t a a)
-
-let test_toggle_correlation_fanout () =
-  (* two buffers off the same source have perfectly correlated rates *)
-  let b = Circuit.Builder.create () in
-  Circuit.Builder.add_input b "a";
-  Circuit.Builder.add_gate b ~output:"n1" Gate_kind.Buf [ "a" ];
-  Circuit.Builder.add_gate b ~output:"n2" Gate_kind.Buf [ "a" ];
-  Circuit.Builder.add_output b "n1";
-  Circuit.Builder.add_output b "n2";
-  let c = Circuit.Builder.finalize b in
-  let t = Toggle_correlation.of_input_specs c ~spec:(fun _ -> Input_spec.case_i) in
-  let n1 = Circuit.find_exn c "n1" and n2 = Circuit.find_exn c "n2" in
-  close "buffer branches fully correlated" 1.0 (Toggle_correlation.correlation t n1 n2) ~tol:1e-9;
-  close "branch variance preserved" 0.25 (Toggle_correlation.variance t n1) ~tol:1e-9
-
-let test_toggle_variance_shrinks_through_and () =
-  (* an AND gate passes each input rate with weight 1/2 (at p=0.5):
-     var = 0.25 (0.25 + 0.25) = 0.125 *)
-  let c = and_gate () in
-  let t = Toggle_correlation.of_input_specs c ~spec:(fun _ -> Input_spec.case_i) in
-  close "AND rate variance" 0.125 (Toggle_correlation.variance t (Circuit.find_exn c "y"))
-    ~tol:1e-9
 
 let test_two_value_rate_matches_density () =
   let c = Spsta_experiments.Benchmarks.s27 () in
@@ -146,10 +102,6 @@ let suite =
     Alcotest.test_case "eq. 6 on an AND gate" `Quick test_density_and_gate;
     Alcotest.test_case "density from input specs" `Quick test_density_of_specs;
     Alcotest.test_case "XOR density adds" `Quick test_density_xor_chain;
-    Alcotest.test_case "eq. 13 means = transition density" `Quick test_toggle_correlation_means;
-    Alcotest.test_case "source moments" `Quick test_toggle_correlation_sources;
-    Alcotest.test_case "fanout correlation" `Quick test_toggle_correlation_fanout;
-    Alcotest.test_case "variance through AND" `Quick test_toggle_variance_shrinks_through_and;
     Alcotest.test_case "two-value rate = density" `Quick test_two_value_rate_matches_density;
     Alcotest.test_case "glitches only add activity" `Quick test_two_value_includes_glitches;
     Alcotest.test_case "power model" `Quick test_power_model;

@@ -1,128 +1,4 @@
-module Circuit = Spsta_netlist.Circuit
-module Gate_kind = Spsta_logic.Gate_kind
 module Transform = Spsta_netlist.Transform
-module Value4 = Spsta_logic.Value4
-module Logic_sim = Spsta_sim.Logic_sim
-module Signal_prob = Spsta_core.Signal_prob
-
-let close ?(tol = 1e-9) name expected actual =
-  if Float.abs (expected -. actual) > tol then
-    Alcotest.failf "%s: expected %.10f, got %.10f" name expected actual
-
-let wide_gate_circuit kind fanin =
-  let b = Circuit.Builder.create () in
-  let names = List.init fanin (fun i -> Printf.sprintf "i%d" i) in
-  List.iter (Circuit.Builder.add_input b) names;
-  Circuit.Builder.add_gate b ~output:"y" kind names;
-  Circuit.Builder.add_output b "y";
-  Circuit.Builder.finalize b
-
-(* the decomposed circuit must compute the same boolean function *)
-let check_equivalent original transformed =
-  let sources = Circuit.sources original in
-  let n = List.length sources in
-  Alcotest.(check int) "same source count" n (List.length (Circuit.sources transformed));
-  for bits = 0 to (1 lsl n) - 1 do
-    let value_of circuit =
-      let srcs = Array.of_list (Circuit.sources circuit) in
-      let source_values s =
-        let rec index i = if srcs.(i) = s then i else index (i + 1) in
-        ((if bits land (1 lsl index 0) <> 0 then Value4.One else Value4.Zero), 0.0)
-      in
-      let r = Logic_sim.run circuit ~source_values in
-      List.map
-        (fun o -> Value4.final r.Logic_sim.values.(o))
-        (Circuit.primary_outputs circuit)
-    in
-    if value_of original <> value_of transformed then
-      Alcotest.failf "boolean mismatch at assignment %d" bits
-  done
-
-let test_decompose_nand5 () =
-  let c = wide_gate_circuit Gate_kind.Nand 5 in
-  let d = Transform.decompose_gates c in
-  Alcotest.(check bool) "fan-in bounded" true
-    (Array.for_all
-       (fun g ->
-         match Circuit.driver d g with
-         | Circuit.Gate { inputs; _ } -> Array.length inputs <= 2
-         | Circuit.Input | Circuit.Dff_output _ -> true)
-       (Circuit.topo_gates d));
-  check_equivalent c d
-
-let test_decompose_all_kinds () =
-  List.iter
-    (fun kind ->
-      let c = wide_gate_circuit kind 4 in
-      check_equivalent c (Transform.decompose_gates c))
-    [ Gate_kind.And; Gate_kind.Nand; Gate_kind.Or; Gate_kind.Nor; Gate_kind.Xor; Gate_kind.Xnor ]
-
-let test_decompose_preserves_signal_prob () =
-  (* the probabilistic analyses see the same function: eq. 5 results are
-     identical on surviving nets *)
-  let c = wide_gate_circuit Gate_kind.Nor 5 in
-  let d = Transform.decompose_gates c in
-  let p _ = 0.3 in
-  let pc = Signal_prob.compute c ~p_source:p in
-  let pd = Signal_prob.compute d ~p_source:p in
-  close "output probability preserved"
-    (Signal_prob.prob pc (Circuit.find_exn c "y"))
-    (Signal_prob.prob pd (Circuit.find_exn d "y"))
-
-let test_decompose_noop_on_small () =
-  let c = Spsta_experiments.Benchmarks.s27 () in
-  let d = Transform.decompose_gates c in
-  Alcotest.(check int) "s27 is already 2-input" (Circuit.gate_count c) (Circuit.gate_count d)
-
-let test_decompose_s344 () =
-  let c = Spsta_experiments.Benchmarks.load "s344" in
-  let d = Transform.decompose_gates c in
-  Alcotest.(check bool) "more gates after decomposition" true
-    (Circuit.gate_count d >= Circuit.gate_count c);
-  Alcotest.(check bool) "depth grows or stays" true (Circuit.depth d >= Circuit.depth c);
-  (* spot-check equivalence by random simulation *)
-  let rng = Spsta_util.Rng.create ~seed:3 in
-  for _ = 1 to 200 do
-    let assignment = Hashtbl.create 32 in
-    List.iter
-      (fun s -> Hashtbl.replace assignment (Circuit.net_name c s) (Spsta_util.Rng.bool rng))
-      (Circuit.sources c);
-    let run circuit =
-      let source_values s =
-        let v = Hashtbl.find assignment (Circuit.net_name circuit s) in
-        ((if v then Value4.One else Value4.Zero), 0.0)
-      in
-      let r = Logic_sim.run circuit ~source_values in
-      List.map (fun o -> Value4.final r.Logic_sim.values.(o)) (Circuit.primary_outputs circuit)
-    in
-    if run c <> run d then Alcotest.fail "random equivalence check failed"
-  done
-
-let buffer_chain_circuit () =
-  let b = Circuit.Builder.create () in
-  Circuit.Builder.add_input b "a";
-  Circuit.Builder.add_gate b ~output:"b1" Gate_kind.Buf [ "a" ];
-  Circuit.Builder.add_gate b ~output:"b2" Gate_kind.Buf [ "b1" ];
-  Circuit.Builder.add_gate b ~output:"y" Gate_kind.Not [ "b2" ];
-  Circuit.Builder.add_output b "y";
-  Circuit.Builder.finalize b
-
-let test_strip_buffers () =
-  let c = buffer_chain_circuit () in
-  let s = Transform.strip_buffers c in
-  Alcotest.(check int) "only the NOT remains" 1 (Circuit.gate_count s);
-  check_equivalent c s
-
-let test_strip_keeps_interface_buffers () =
-  (* a buffer driving a primary output must survive *)
-  let b = Circuit.Builder.create () in
-  Circuit.Builder.add_input b "a";
-  Circuit.Builder.add_gate b ~output:"y" Gate_kind.Buf [ "a" ];
-  Circuit.Builder.add_output b "y";
-  let c = Circuit.Builder.finalize b in
-  let s = Transform.strip_buffers c in
-  Alcotest.(check int) "interface buffer kept" 1 (Circuit.gate_count s);
-  Alcotest.(check bool) "output net still exists" true (Circuit.find s "y" <> None)
 
 let test_statistics () =
   let c = Spsta_experiments.Benchmarks.s27 () in
@@ -133,14 +9,4 @@ let test_statistics () =
   Alcotest.(check int) "ff count" 3 (get "flip_flops");
   Alcotest.(check bool) "max fanout positive" true (get "max_fanout" > 0)
 
-let suite =
-  [
-    Alcotest.test_case "decompose NAND5" `Quick test_decompose_nand5;
-    Alcotest.test_case "decompose all kinds" `Quick test_decompose_all_kinds;
-    Alcotest.test_case "decompose preserves eq. 5" `Quick test_decompose_preserves_signal_prob;
-    Alcotest.test_case "decompose no-op on 2-input circuits" `Quick test_decompose_noop_on_small;
-    Alcotest.test_case "decompose s344 equivalence" `Quick test_decompose_s344;
-    Alcotest.test_case "strip buffers" `Quick test_strip_buffers;
-    Alcotest.test_case "strip keeps interface buffers" `Quick test_strip_keeps_interface_buffers;
-    Alcotest.test_case "statistics" `Quick test_statistics;
-  ]
+let suite = [ Alcotest.test_case "statistics" `Quick test_statistics ]
