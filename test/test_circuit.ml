@@ -272,3 +272,141 @@ let suite =
     Alcotest.test_case "count gates of kind" `Quick test_count_gates_of_kind;
     Alcotest.test_case "copy isolates retype" `Quick test_copy_isolates_retype;
   ]
+
+(* Every structural fact the builder derives, net by net, plus the
+   outcome of single-fault texts, pinned byte for byte against
+   test/golden/netlist_facts.tsv: net ids (declaration order), names,
+   drivers, levels, topological positions, fanouts, sources, endpoints
+   and level groups, and for each rejected text the exception, its line
+   or violation, and its message.  A change to how the reader or the
+   builder works must leave every row as it is. *)
+module Bench_io = Spsta_netlist.Bench_io
+
+(* a valid netlist using the syntax the reader tolerates: forward
+   references, an OUTPUT before its driver (and repeated), flip-flops
+   reading later gates, CRLF and tab spacing, inline comments,
+   lower-case heads and an empty argument *)
+let hand_written_bench =
+  "# hand-written\r\n\
+   INPUT(a)\r\n\
+   input( b )   # lower-case head\r\n\
+   OUTPUT(z)\r\n\
+   OUTPUT(z)\r\n\
+   q1 = dff(g2)\r\n\
+   \tg1\t=\tNAND(a,\tq1)\n\
+   \n\
+   g2 = AND(g1,,b)   # empty argument\n\
+   z = or(g2, q2)\n\
+   q2 = DFF(z)\n\
+   OUTPUT(g1)\n"
+
+let rejected_benches =
+  [
+    "INPUT x\n";
+    "INPUT(x\n";
+    "INPUT(a, b)\n";
+    "INPUT()\n";
+    "WIBBLE(a)\n";
+    "WIBBLE(a, b)\n";
+    "INPUT(a b)\n";
+    "INPUT(a\000)\n";
+    "INPUT((a))\n";
+    "INPUT(a)\nOUTPUT(y)\ny = FROB(a)\n";
+    "INPUT(a)\nOUTPUT(y)\ny = (a)\n";
+    "INPUT(a)\nOUTPUT(y)\ny = DFF(a, a)\n";
+    "INPUT(a)\nOUTPUT(y)\ny = DFF()\n";
+    "INPUT(a)\n = NOT(a)\n";
+    "=\n";
+    "INPUT(a)\ny z = NOT(a)\n";
+    "INPUT(a)=NOT(a)\n";
+    "INPUT(a)\nOUTPUT(y)\ny = NOT a\n";
+    "INPUT(a)\nOUTPUT(y)\ny = NOT(a\n";
+    "INPUT(a)\nOUTPUT(y)\ny = NOT(a) x\n";
+    "INPUT(a)\nOUTPUT(y)\ny = AND(a, b!)\n";
+    "INPUT(a)\nOUTPUT(y)\ny = FROB(a, b!)\n";
+    "# c\r\n\r\nINPUT(a)\r\nOUTPUT(y)\r\ny = NOT(a\r\n";
+    "INPUT(a)\nOUTPUT(y)\ny = AND(a)\n";
+    "INPUT(a)\nOUTPUT(y)\ny = NOT(a, a)\n";
+    "INPUT(a)\nINPUT(a)\n";
+    "INPUT(a)\nOUTPUT(a)\na = NOT(a)\n";
+    "INPUT(a)\nq = DFF(a)\nq = NOT(a)\nOUTPUT(q)\n";
+    "INPUT(a)\na = AND(a)\n";
+    "INPUT(a)\nINPUT(a)\nWIBBLE(a)\n";
+    "INPUT(a)\nOUTPUT(y)\ny = AND(a, ghost)\n";
+    "INPUT(a)\nOUTPUT(nothing)\n";
+    "INPUT(a)\nq = DFF(ghost)\nOUTPUT(q)\n";
+    "INPUT(a)\nOUTPUT(z)\nx = AND(a, y)\ny = AND(a, x)\nz = NOT(y)\n";
+    "INPUT(a)\nOUTPUT(x)\nx = AND(a, x)\n";
+  ]
+
+let netlist_fact_rows () =
+  let rows = ref [] in
+  let row fmt = Printf.ksprintf (fun l -> rows := l :: !rows) fmt in
+  let ids l = String.concat " " (List.map string_of_int l) in
+  let reparsed name =
+    let c = Spsta_experiments.Benchmarks.load name in
+    Bench_io.parse_string ~name (Bench_io.to_string c)
+  in
+  let circuits =
+    [ Spsta_experiments.Benchmarks.s27 (); Spsta_experiments.Benchmarks.c17 () ]
+    @ List.map reparsed [ "s344"; "s1196"; "s5378" ]
+    @ [ Bench_io.parse_string ~name:"hand" hand_written_bench ]
+  in
+  List.iter
+    (fun c ->
+      row "circuit\t%s\t%d nets\tdepth %d" (Circuit.name c) (Circuit.num_nets c) (Circuit.depth c);
+      for n = 0 to Circuit.num_nets c - 1 do
+        let driver =
+          match Circuit.driver c n with
+          | Circuit.Input -> "INPUT"
+          | Circuit.Dff_output { data } -> Printf.sprintf "DFF %d" data
+          | Circuit.Gate { kind; inputs } ->
+            Printf.sprintf "%s %s" (Gate_kind.to_string kind) (ids (Array.to_list inputs))
+        in
+        row "%d\t%s\t%s\t%d\t%d\t%s" n (Circuit.net_name c n) driver (Circuit.level c n)
+          (Circuit.topo_position c n)
+          (ids (Array.to_list (Circuit.fanout c n)))
+      done;
+      row "inputs\t%s" (ids (Circuit.primary_inputs c));
+      row "outputs\t%s" (ids (Circuit.primary_outputs c));
+      row "sources\t%s" (ids (Circuit.sources c));
+      row "endpoints\t%s" (ids (Circuit.endpoints c));
+      Array.iter
+        (fun gates -> row "level\t%s" (ids (Array.to_list gates)))
+        (Circuit.gates_by_level c))
+    circuits;
+  List.iter
+    (fun text ->
+      match Bench_io.parse_string text with
+      | (_ : Circuit.t) -> row "reject\t%S\taccepted" text
+      | exception Bench_io.Parse_error { line; message } ->
+        row "reject\t%S\tParse_error\t%d\t%S" text line message
+      | exception Circuit.Invalid_circuit { violation; message } ->
+        let violation =
+          match violation with
+          | Circuit.Multiple_drivers -> "Multiple_drivers"
+          | Circuit.Undriven -> "Undriven"
+          | Circuit.Cycle -> "Cycle"
+          | Circuit.Arity -> "Arity"
+        in
+        row "reject\t%S\tInvalid_circuit\t%s\t%S" text violation message)
+    rejected_benches;
+  List.rev !rows
+
+let test_netlist_facts_pinned () =
+  let path = Filename.concat (Filename.dirname Sys.executable_name) "golden/netlist_facts.tsv" in
+  let expected =
+    In_channel.with_open_bin path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  let rec first_diff i = function
+    | e :: es, a :: as_ ->
+      if e <> a then Alcotest.failf "line %d:\nexpected %s\n  actual %s" i e a
+      else first_diff (i + 1) (es, as_)
+    | [], [] -> ()
+    | _ -> Alcotest.failf "line %d: the golden and the facts differ in length" i
+  in
+  first_diff 1 (expected, netlist_fact_rows ())
+
+let suite = suite @ [ Alcotest.test_case "every netlist fact pinned" `Quick test_netlist_facts_pinned ]
