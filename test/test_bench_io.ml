@@ -82,6 +82,134 @@ let test_write_file () =
       Alcotest.(check bool) "name from filename" true (String.length (Circuit.name c) > 0);
       Alcotest.(check int) "gates" 10 (Circuit.gate_count c))
 
+(* A circuit as the builder froze it, id by id: names, drivers, the
+   output list and the circuit name.  Two readers that feed the builder
+   the same declarations give equal digests. *)
+let digest c =
+  let b = Buffer.create 256 in
+  Printf.bprintf b "%s\n" (Circuit.name c);
+  for n = 0 to Circuit.num_nets c - 1 do
+    Printf.bprintf b "%d %s " n (Circuit.net_name c n);
+    (match Circuit.driver c n with
+    | Circuit.Input -> Buffer.add_string b "INPUT"
+    | Circuit.Dff_output { data } -> Printf.bprintf b "DFF %d" data
+    | Circuit.Gate { kind; inputs } ->
+      Buffer.add_string b (Gate_kind.to_string kind);
+      Array.iter (Printf.bprintf b " %d") inputs);
+    Buffer.add_char b '\n'
+  done;
+  List.iter (Printf.bprintf b "out %d\n") (Circuit.primary_outputs c);
+  Buffer.contents b
+
+type outcome =
+  | Parsed of string
+  | Parse_failed of int * string
+  | Rejected of Circuit.violation * string
+
+(* any other exception escapes, and fails the property *)
+let outcome parse text =
+  match parse text with
+  | c -> Parsed (digest c)
+  | exception Bench_io.Parse_error { line; message } -> Parse_failed (line, message)
+  | exception Circuit.Invalid_circuit { violation; message } -> Rejected (violation, message)
+
+type mutation = Truncate of int | Flip of int * int | Insert of int * char
+
+let mutate text m =
+  let n = String.length text in
+  match m with
+  | Truncate p -> String.sub text 0 (p mod (n + 1))
+  | Flip (p, mask) when n > 0 ->
+    let p = p mod n in
+    String.mapi (fun i c -> if i = p then Char.chr (Char.code c lxor mask) else c) text
+  | Flip _ -> text
+  | Insert (p, c) ->
+    let p = p mod (n + 1) in
+    String.sub text 0 p ^ String.make 1 c ^ String.sub text p (n - p)
+
+let fuzz_bases =
+  [|
+    Bench_io.to_string (s27 ());
+    Bench_io.to_string (Spsta_experiments.Benchmarks.c17 ());
+    Test_circuit.hand_written_bench;
+    "# c\r\nINPUT(a)\r\nINPUT(b)  # in\r\nOUTPUT(y)\r\n\ty = nand(a,, b)\r\nq = DFF(y)\r\nz = OR(q, a)\r\nOUTPUT(z)";
+  |]
+
+let mutated_text =
+  let open QCheck.Gen in
+  let mutation =
+    oneof
+      [
+        map (fun p -> Truncate p) nat;
+        map2 (fun p mask -> Flip (p, mask)) nat (int_range 1 255);
+        map2
+          (fun p c -> Insert (p, c))
+          nat
+          (oneofl [ '#'; ','; '('; ')'; '='; '\000'; '\r' ]);
+      ]
+  in
+  let text =
+    map2
+      (fun base ms -> List.fold_left mutate fuzz_bases.(base) ms)
+      (int_bound (Array.length fuzz_bases - 1))
+      (list_size (int_range 1 4) mutation)
+  in
+  QCheck.make ~print:(Printf.sprintf "%S") text
+
+(* the index scan and the line-based oracle agree on every mutated
+   text: the same circuit, or the same error with the same line,
+   violation and message *)
+let reader_matches_oracle =
+  QCheck.Test.make ~name:"reader = line-based oracle on mutated texts" ~count:3000 mutated_text
+    (fun text -> outcome Bench_io.parse_string text = outcome Bench_oracle.parse_string text)
+
+let generator_profile =
+  let open QCheck.Gen in
+  let gen =
+    map
+      (fun (((n_inputs, n_outputs), (n_dffs, extra)), (target_depth, seed)) ->
+        { Spsta_netlist.Generator.name = "rt"; n_inputs; n_outputs; n_dffs;
+          n_gates = target_depth + extra; target_depth; seed })
+      (pair
+         (pair (pair (int_range 1 6) (int_range 1 4)) (pair (int_range 0 4) (int_range 0 40)))
+         (pair (int_range 1 6) nat))
+  in
+  QCheck.make
+    ~print:(fun p ->
+      Printf.sprintf "%d in, %d out, %d dffs, %d gates, depth %d, seed %d"
+        p.Spsta_netlist.Generator.n_inputs p.n_outputs p.n_dffs p.n_gates p.target_depth p.seed)
+    gen
+
+(* Writing and re-reading keeps every net's name and driver, and the
+   interface lists, name for name.  The reader numbers nets in the order
+   the writer declares them: inputs, flip-flops, then gates in the
+   original's topological order. *)
+let generator_roundtrip =
+  QCheck.Test.make ~name:"parse (to_string c) keeps names, drivers and ids" ~count:300
+    generator_profile (fun p ->
+      let c = Spsta_netlist.Generator.generate p in
+      let c1 = Bench_io.parse_string ~name:"rt" (Bench_io.to_string c) in
+      let named circuit i =
+        match Circuit.driver circuit i with
+        | Circuit.Input -> "INPUT"
+        | Circuit.Dff_output { data } -> "DFF " ^ Circuit.net_name circuit data
+        | Circuit.Gate { kind; inputs } ->
+          String.concat " "
+            (Gate_kind.to_string kind
+            :: Array.to_list (Array.map (Circuit.net_name circuit) inputs))
+      in
+      let by_name circuit ids = List.map (Circuit.net_name circuit) ids in
+      let declared =
+        Circuit.primary_inputs c @ List.map fst (Circuit.dffs c)
+        @ Array.to_list (Circuit.topo_gates c)
+      in
+      by_name c declared = List.init (Circuit.num_nets c1) (Circuit.net_name c1)
+      && List.for_all (fun i -> named c i = named c1 (Circuit.find_exn c1 (Circuit.net_name c i))) declared
+      && by_name c (Circuit.primary_inputs c) = by_name c1 (Circuit.primary_inputs c1)
+      && by_name c (Circuit.primary_outputs c) = by_name c1 (Circuit.primary_outputs c1)
+      && List.map (fun (q, d) -> by_name c [ q; d ]) (Circuit.dffs c)
+         = List.map (fun (q, d) -> by_name c1 [ q; d ]) (Circuit.dffs c1))
+
 let suite =
   [
     Alcotest.test_case "parse s27" `Quick test_parse_s27;
@@ -93,4 +221,6 @@ let suite =
     Alcotest.test_case "invalid circuit propagates" `Quick test_invalid_circuit_propagates;
     Alcotest.test_case "generator roundtrip" `Quick test_generator_roundtrip;
     Alcotest.test_case "write_file/parse_file" `Quick test_write_file;
+    QCheck_alcotest.to_alcotest reader_matches_oracle;
+    QCheck_alcotest.to_alcotest generator_roundtrip;
   ]
