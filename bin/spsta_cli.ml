@@ -103,11 +103,14 @@ let positive_int =
 let non_negative_int =
   checked_conv int_of_string_opt (fun n -> n >= 0) "a non-negative integer" Format.pp_print_int
 
-let sigma_float =
+let finite_float accept expected =
   checked_conv float_of_string_opt
-    (fun x -> Float.is_finite x && x >= 0.0)
-    "a finite non-negative number"
+    (fun x -> Float.is_finite x && accept x)
+    expected
     (fun ppf x -> Format.fprintf ppf "%g" x)
+
+let sigma_float = finite_float (fun x -> x >= 0.0) "a finite non-negative number"
+let positive_float = finite_float (fun x -> x > 0.0) "a finite positive number"
 
 let count_arg name doc = Arg.(value & opt positive_int 10_000 & info [ name ] ~docv:"N" ~doc)
 
@@ -126,9 +129,11 @@ let json_arg =
   in
   Arg.(value & flag & info [ "json" ] ~doc)
 
-let dt_arg =
+(* the analyses take [positive_float]; lint takes the raw float, because
+   checking the grid settings is its job (a bad step is a finding) *)
+let dt_arg dt_conv =
   let doc = "Grid step of the discretised (grid) t.o.p. backend." in
-  Arg.(value & opt float 0.1 & info [ "dt" ] ~docv:"DT" ~doc)
+  Arg.(value & opt dt_conv 0.1 & info [ "dt" ] ~docv:"DT" ~doc)
 
 (* 0 resolves to one domain per available core *)
 let domains_term names doc =
@@ -316,7 +321,7 @@ let lint_cmd =
     Term.(
       const run $ circuits_arg $ json_arg $ strict_arg $ spec
       $ library ~default:`Unit "Cell library whose delays are checked: unit or default."
-      $ dt_arg $ eps_lint_arg)
+      $ dt_arg Arg.float $ eps_lint_arg)
 
 let check_cmd =
   let run circuit spec dt domains =
@@ -372,7 +377,7 @@ let check_cmd =
              analysis with the offending circuit, net, gate kind and level.";
         ]
   in
-  Cmd.v info Term.(const run $ circuit $ spec $ dt_arg $ domains)
+  Cmd.v info Term.(const run $ circuit $ spec $ dt_arg positive_float $ domains)
 
 let power_cmd =
   let run circuit spec top =
@@ -552,7 +557,7 @@ let report_cmd =
   in
   let clock_arg =
     let doc = "Clock period constraint." in
-    Arg.(value & opt float 10.0 & info [ "clock" ] ~docv:"T" ~doc)
+    Arg.(value & opt positive_float 10.0 & info [ "clock" ] ~docv:"T" ~doc)
   in
   let info = Cmd.info "report" ~doc:"Structural and slack report" in
   Cmd.v info Term.(const run $ circuit $ clock_arg)
@@ -646,7 +651,7 @@ let criticality_cmd =
     Term.(
       const run $ circuit $ domain_arg $ spec
       $ library ~default:`Default "Cell library for the ssta domain: unit or default."
-      $ dt_arg
+      $ dt_arg positive_float
       $ top_arg ~default:20 "Show only the N most critical gates (0 = all)."
       $ json_arg $ check)
 
@@ -899,7 +904,8 @@ let size_cmd =
   in
   let quantile_arg =
     let doc = "Objective percentile of the chip-delay distribution, in (0, 1)." in
-    Arg.(value & opt float 0.99 & info [ "quantile" ] ~docv:"Q" ~doc)
+    let quantile = finite_float (fun q -> q > 0.0 && q < 1.0) "a number in (0, 1)" in
+    Arg.(value & opt quantile 0.99 & info [ "quantile" ] ~docv:"Q" ~doc)
   in
   let target_arg =
     let doc = "Target objective: stop upsizing once reached (0 = minimize)." in
@@ -911,11 +917,11 @@ let size_cmd =
   in
   let moves_arg =
     let doc = "Maximum committed moves across both phases." in
-    Arg.(value & opt int 400 & info [ "max-moves" ] ~docv:"N" ~doc)
+    Arg.(value & opt non_negative_int 400 & info [ "max-moves" ] ~docv:"N" ~doc)
   in
   let candidates_arg =
     let doc = "Critical gates trialled per upsize iteration." in
-    Arg.(value & opt int 8 & info [ "candidates" ] ~docv:"K" ~doc)
+    Arg.(value & opt positive_int 8 & info [ "candidates" ] ~docv:"K" ~doc)
   in
   let threshold_arg =
     let doc = "Criticality at or below which a gate may be downsized." in
@@ -923,11 +929,12 @@ let size_cmd =
   in
   let sizes_arg =
     let doc = "Sized variants per cell." in
-    Arg.(value & opt int 4 & info [ "sizes" ] ~docv:"N" ~doc)
+    Arg.(value & opt positive_int 4 & info [ "sizes" ] ~docv:"N" ~doc)
   in
   let ratio_arg =
     let doc = "Drive-strength ratio between adjacent sizes (> 1)." in
-    Arg.(value & opt float 1.5 & info [ "ratio" ] ~docv:"R" ~doc)
+    let ratio = finite_float (fun r -> r > 1.0) "a finite number above 1" in
+    Arg.(value & opt ratio 1.5 & info [ "ratio" ] ~docv:"R" ~doc)
   in
   let initial_arg =
     let doc =

@@ -459,8 +459,8 @@ let decode_request_json (json : Json.t) : (request, decode_error) Stdlib.result 
         else if candidates <= 0 then
           decode_fail ~id Bad_field "field \"candidates\" must be positive"
         else if sizes <= 0 then decode_fail ~id Bad_field "field \"sizes\" must be positive"
-        else if not (ratio > 1.0) then
-          decode_fail ~id Bad_field "field \"ratio\" must exceed 1"
+        else if not (Float.is_finite ratio && ratio > 1.0) then
+          decode_fail ~id Bad_field "field \"ratio\" must be finite and exceed 1"
         else if (match target with Some t -> not (t > 0.0) | None -> false) then
           decode_fail ~id Bad_field "field \"target\" must be positive"
         else
@@ -498,8 +498,8 @@ let decode_request_json (json : Json.t) : (request, decode_error) Stdlib.result 
         let* ratio = opt_with ~id json "ratio" Json.to_float_opt "a number" ~default:1.5 in
         if session = "" then decode_fail ~id Bad_field "field \"session\" must be non-empty"
         else if sizes <= 0 then decode_fail ~id Bad_field "field \"sizes\" must be positive"
-        else if not (ratio > 1.0) then
-          decode_fail ~id Bad_field "field \"ratio\" must exceed 1"
+        else if not (Float.is_finite ratio && ratio > 1.0) then
+          decode_fail ~id Bad_field "field \"ratio\" must be finite and exceed 1"
         else Stdlib.Ok (Session_open { session; circuit; sizes; ratio })
       | "mutate" ->
         let* session = field_string ~id json "session" in

@@ -136,7 +136,15 @@ let bad_values =
     ("negative paths sigma", "paths s27 --sigma-random=-0.5", "--sigma-random", "-0.5", []);
     ("nan sigma", "variation s27 --sigma-spatial=nan", "--sigma-spatial", "nan", []);
     ("infinite sigma", "variation s27 --sigma-random=inf", "--sigma-random", "inf", []);
-    ("negative domains", "mc s27 --domains=-1", "--domains", "-1", []) ]
+    ("negative domains", "mc s27 --domains=-1", "--domains", "-1", []);
+    ("zero dt", "criticality s27 --domain grid --dt=0", "--dt", "0", []);
+    ("negative dt", "criticality s27 --domain grid --dt=-1", "--dt", "-1", []);
+    ("negative check dt", "check s27 --dt=-0.1", "--dt", "-0.1", []);
+    ("negative max moves", "size s27 --max-moves=-1", "--max-moves", "-1", []);
+    ("ratio below 1", "size s27 --ratio=0.5", "--ratio", "0.5", []);
+    ("quantile above 1", "size s27 --quantile=2", "--quantile", "2", []);
+    ("zero candidates", "size s27 --candidates=0", "--candidates", "0", []);
+    ("nan clock", "report s27 --clock=nan", "--clock", "nan", []) ]
 
 let test_bad_value (_, args, option, value, choices) () =
   let code, stdout, stderr = run_cli args in
@@ -148,13 +156,21 @@ let test_bad_value (_, args, option, value, choices) () =
     (fun c -> Alcotest.(check bool) ("lists " ^ c) true (contains stderr (Printf.sprintf "'%s'" c)))
     choices
 
+(* lint reads --dt as a model setting to check, not as a usage error:
+   a non-finite step is a grid-dt finding (exit 3) *)
+let test_lint_checks_dt () =
+  let code, stdout, _ = run_cli "lint s27 --dt=nan" in
+  Alcotest.(check bool) "grid-dt finding" true (contains stdout "grid-dt");
+  Alcotest.(check int) "exit code" 3 code
+
 let suite =
   [ Alcotest.test_case "unknown subcommand hint enumerates all" `Quick
       test_unknown_subcommand_hint ]
   @ List.map
       (fun ((name, _) as case) -> Alcotest.test_case name `Quick (test_golden case))
       golden
-  @ [ Alcotest.test_case "unknown circuit" `Quick test_unknown_circuit ]
+  @ [ Alcotest.test_case "unknown circuit" `Quick test_unknown_circuit;
+      Alcotest.test_case "lint checks a bad dt" `Quick test_lint_checks_dt ]
   @ List.map
       (fun ((name, _, _, _, _) as case) -> Alcotest.test_case name `Quick (test_bad_value case))
       bad_values

@@ -255,12 +255,14 @@ let test_reject_bad_field () =
       "{\"id\":\"x\",\"kind\":\"size\",\"circuit\":\"s27\",\"quantile\":1.5}";
       "{\"id\":\"x\",\"kind\":\"size\",\"circuit\":\"s27\",\"target\":0}";
       "{\"id\":\"x\",\"kind\":\"size\",\"circuit\":\"s27\",\"ratio\":1.0}";
+      "{\"id\":\"x\",\"kind\":\"size\",\"circuit\":\"s27\",\"ratio\":1e999}";
       "{\"id\":\"x\",\"kind\":\"size\",\"circuit\":\"s27\",\"initial\":\"medium\"}";
       "{\"id\":\"x\",\"kind\":\"stats\",\"deadline_ms\":-1}";
       "{\"id\":\"x\",\"kind\":\"stats\",\"deadline_ms\":\"soon\"}";
       "{\"id\":\"x\",\"kind\":\"open\",\"session\":\"\",\"circuit\":\"s27\"}";
       "{\"id\":\"x\",\"kind\":\"open\",\"session\":\"s\",\"circuit\":\"s27\",\"sizes\":0}";
       "{\"id\":\"x\",\"kind\":\"open\",\"session\":\"s\",\"circuit\":\"s27\",\"ratio\":1.0}";
+      "{\"id\":\"x\",\"kind\":\"open\",\"session\":\"s\",\"circuit\":\"s27\",\"ratio\":1e999}";
       "{\"id\":\"x\",\"kind\":\"mutate\",\"session\":\"s\",\"op\":\"resize\",\"net\":\"g\",\"size\":-1}";
       "{\"id\":\"x\",\"kind\":\"mutate\",\"session\":\"s\",\"op\":\"retype\",\"net\":\"g\",\"gate\":\"FROB\"}";
       "{\"id\":\"x\",\"kind\":\"mutate\",\"session\":\"s\",\"op\":\"set_input\",\"net\":\"g\",\"sigma_rise\":-0.5}";
