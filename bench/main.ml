@@ -748,6 +748,12 @@ let json_bench_scale ~domains name =
   let profile = scale_profile name in
   let t_gen, circuit = wall (fun () -> Spsta_netlist.Generator.generate profile) in
   let gates = Circuit.gate_count circuit in
+  (* reading the design back from its .bench text: the reader and the
+     builder's finalize, the text written outside the timer *)
+  let t_parse, _, n_parse =
+    let text = Spsta_netlist.Bench_io.to_string circuit in
+    wall_best (fun () -> Spsta_netlist.Bench_io.parse_string text)
+  in
   let t_ssta, r0, n_ssta = wall_best (fun () -> Ssta.analyze circuit) in
   let t_ssta_par, _, n_ssta_par = wall_best (fun () -> Ssta.analyze ~domains circuit) in
   (* two incremental workloads: a mid-topo gate flip (the sizer's move
@@ -793,10 +799,10 @@ let json_bench_scale ~domains name =
       ("moment_parallel_n", Json.int n_moment_par) ]
   in
   Printf.eprintf
-    "  %-8s gen %.2fs ssta %.3fs (par %.3fs, x%.2f) update %.5fs (x%.0f, %d dirty) \
+    "  %-8s gen %.2fs parse %.3fs ssta %.3fs (par %.3fs, x%.2f) update %.5fs (x%.0f, %d dirty) \
 src-update %.5fs (x%.0f, %d dirty) lint %.3fs (%d findings) static %.3fs (%d facts) \
 moment %.3fs (par %.3fs)\n%!"
-    name t_gen t_ssta t_ssta_par (ratio t_ssta t_ssta_par) t_upd (ratio t_ssta t_upd)
+    name t_gen t_parse t_ssta t_ssta_par (ratio t_ssta t_ssta_par) t_upd (ratio t_ssta t_upd)
     dirty_gates t_src_upd (ratio t_ssta t_src_upd) src_dirty t_lint (List.length findings)
     t_static
     (Spsta_analysis.Static.total_facts static)
@@ -806,6 +812,7 @@ moment %.3fs (par %.3fs)\n%!"
        ("gates", Json.int gates);
        ("depth", Json.int (Circuit.depth circuit));
        ("generate_s", Json.float t_gen);
+       ("parse_s", Json.float t_parse);
        ("ssta_s", Json.float t_ssta);
        ("ssta_parallel_s", Json.float t_ssta_par);
        ("ssta_domains", Json.float (ratio t_ssta t_ssta_par));
@@ -821,7 +828,8 @@ moment %.3fs (par %.3fs)\n%!"
        ("static_facts", Json.Obj fact_fields);
        ("timing_n",
         Json.Obj
-          [ ("ssta_s", Json.int n_ssta);
+          [ ("parse_s", Json.int n_parse);
+            ("ssta_s", Json.int n_ssta);
             ("ssta_parallel_s", Json.int n_ssta_par);
             ("incremental_update_s", Json.int n_upd);
             ("source_update_s", Json.int n_src_upd);
