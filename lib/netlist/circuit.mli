@@ -7,7 +7,11 @@
     *timing endpoints* alongside the primary outputs. *)
 
 type id = int
-(** Dense net identifier, [0 .. num_nets - 1]. *)
+(** Dense net identifier, [0 .. num_nets - 1], assigned in declaration
+    order: the [k]-th net given a driver ({!Builder.add_input},
+    {!Builder.add_dff}'s [q], {!Builder.add_gate}'s [output]) gets id
+    [k], whatever order its references arrive in.  Names, report order
+    and tie-breaks by id follow from it. *)
 
 type driver =
   | Input  (** primary input *)
@@ -39,7 +43,10 @@ module Builder : sig
   val add_output : t -> string -> unit
   val finalize : t -> circuit
   (** Validates and freezes the circuit; computes topological order,
-      levels and fanout maps.  Raises {!Invalid_circuit}. *)
+      levels and fanout maps.  Raises {!Invalid_circuit}: an undriven
+      net is named by the first undriven name the builder saw.  A
+      builder that finalized is spent; using it again raises
+      [Invalid_argument]. *)
 end
 
 val name : t -> string
