@@ -87,9 +87,11 @@ size-smoke:
 	  echo "size-smoke: FAILED (objective did not improve)"; exit 1; }
 	@echo "size-smoke: ok"
 
-# bounded 100k-gate scale gate: generation and SSTA wall-time budgets,
+# bounded 100k-gate scale gate: measures the c100k entry as bench-json
+# does, then checks its generation and SSTA wall-time budgets, the
 # bit-identity of the pooled schedule, the dirty-cone update speedup,
-# and (on multi-core hosts only) a ?domains speedup floor
+# the static passes and (on multi-core hosts only) a ?domains speedup
+# floor
 scale-smoke:
 	dune exec bench/main.exe -- --scale-smoke
 	@echo "scale-smoke: ok"

@@ -1,11 +1,13 @@
 (* Benchmark tracking: flattening a machine-readable bench document
-   (bench/main.exe --json, schema spsta-bench/5) into named wall-clock
+   (bench/main.exe --json, schema spsta-bench/6) into named wall-clock
    metrics, appending per-commit records to an append-only JSONL history
    file, and comparing two documents for wall-time regressions.
 
-   The logic lives here rather than in the bench binary so the test
-   suite can exercise the regression detector on synthetic documents
-   without timing anything. *)
+   The logic is a library of its own, beside the bench binary, so the
+   test suite can exercise the regression detector on synthetic
+   documents without timing anything. *)
+
+module Json = Spsta_server.Json
 
 (* ---------- metric extraction ---------- *)
 
@@ -56,8 +58,8 @@ let scale_metrics s =
   | Some name ->
     List.filter_map
       (fun (k, x) ->
-        let n = String.length k in
-        if n > 2 && String.sub k (n - 2) 2 = "_s" then Some (name ^ "/" ^ k, x) else None)
+        if String.length k > 2 && String.ends_with ~suffix:"_s" k then Some (name ^ "/" ^ k, x)
+        else None)
       (num_fields s)
 
 let metrics doc =
@@ -123,10 +125,8 @@ let min_delta_s = 0.005
    path behind them to regress, and the untruncated configuration's
    giant transient allocations make it structurally the noisiest entry
    in the suite. *)
-let is_reference name =
-  let suffix = "_baseline" in
-  let n = String.length name and k = String.length suffix in
-  n >= k && String.sub name (n - k) k = suffix
+let is_reference name = String.ends_with ~suffix:"_baseline" name
+
 let compare_docs ?(threshold = default_threshold) ~base ~current () =
   let base_metrics = metrics base in
   let current_metrics = metrics current in

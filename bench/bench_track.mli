@@ -1,11 +1,11 @@
 (** Benchmark tracking for the machine-readable bench mode
-    ([bench/main.exe --json], schema [spsta-bench/5]): flattens a bench
+    ([bench/main.exe --json], schema [spsta-bench/6]): flattens a bench
     document into named wall-clock metrics, builds append-only
     per-commit history records, and compares two documents for
     wall-time regressions (the [--compare] gate).  Pure with respect to
     timing — the test suite drives it on synthetic documents. *)
 
-val metrics : Json.t -> (string * float) list
+val metrics : Spsta_server.Json.t -> (string * float) list
 (** Tracked wall-clock metrics of a bench document, as
     [("s344/ssta", seconds); ...] pairs: every [timings_s] entry and
     the sizing wall-times per circuit, and every ["*_s"] field per
@@ -14,12 +14,13 @@ val metrics : Json.t -> (string * float) list
 val history_schema : string
 (** Schema tag of history records, ["spsta-bench-history/1"]. *)
 
-val history_record : commit:string -> utc:string -> Json.t -> Json.t
+val history_record :
+  commit:string -> utc:string -> Spsta_server.Json.t -> Spsta_server.Json.t
 (** One history line for a bench document: schema tag, commit id, UTC
     timestamp, the document's [host_cores] / [domains] when present,
     and the flattened {!metrics}. *)
 
-val append_history : path:string -> Json.t -> unit
+val append_history : path:string -> Spsta_server.Json.t -> unit
 (** Append one record as a compact JSON line to [path], creating the
     file if needed.  The history file is append-only by construction —
     a chronological log across commits, never rewritten. *)
@@ -32,7 +33,11 @@ val default_threshold : float
 (** 0.15 — fail on >15% wall-time regression. *)
 
 val compare_docs :
-  ?threshold:float -> base:Json.t -> current:Json.t -> unit -> int * regression list
+  ?threshold:float ->
+  base:Spsta_server.Json.t ->
+  current:Spsta_server.Json.t ->
+  unit ->
+  int * regression list
 (** [compare_docs ~base ~current ()] matches metrics by name (skipping
     ones present in only one document, and baselines below 100 us:
     few-microsecond entries are decided by loop overhead and timer

@@ -1,31 +1,25 @@
-(* Benchmark harness: regenerates every table and figure of the paper
-   (printed as the paper's rows/series), then times the competing
-   analyses with Bechamel.
+(* Benchmark harness.  Without flags it regenerates every table and
+   figure of the paper (printed as the paper's rows/series), then the
+   ablations and extensions:
 
-   Sections, in order:
-     TABLE1   four-value logic tables
-     FIG2     SUM and MAX basic operations
-     FIG3     AND-gate signal probability / toggling rate
-     FIG4     MAX vs WEIGHTED SUM distributions
-     TABLE2   critical-path statistics, input cases I and II
-     FIG1     chip timing distribution vs STA/SSTA views
-     TABLE3   wall-clock runtimes per circuit
-     SUMMARY  aggregate accuracy vs Monte Carlo (the paper's headline)
-     ABLATION t.o.p. backend; correlation handling; process variation
+     TABLE1 .. SUMMARY  the paper's artefacts, through
+                        Experiments.Runner.run (as `spsta experiment`):
+                        table1, fig2, fig3, fig4, table2, fig1, table3
+                        (wall-clock runtimes per circuit), summary
+     ABLATION  t.o.p. backend; correlation handling; process variation
      EXTENSION critical paths; sequential fixed point; chip delay/yield
-     ABLATION interconnect loading; cell library; multiple-input
-              switching; enclosure comparison (STA / Frechet / affine)
-     SCALING  runtime growth up to ~10k-gate profiles
-     BECHAMEL micro-benchmarks (one Test.make per table/figure path)
+     ABLATION  interconnect loading; cell library; multiple-input
+               switching; enclosure comparison (STA / Frechet / affine)
 
    SPSTA_BENCH_RUNS overrides the Monte Carlo run count (default 10000).
 
-   `--json [PATH]` switches to the machine-readable mode instead: each
-   circuit (SPSTA_BENCH_CIRCUITS, comma-separated suite names) is timed
-   across the competing engines and the wall-clock results — including
+   Every timing the harness records comes from the machine-readable
+   mode, `--json [PATH]`: each circuit (SPSTA_BENCH_CIRCUITS,
+   comma-separated suite names) is timed across the competing engines
+   with [wall_best], and the wall-clock results — including
    optimised-vs-baseline grid-kernel and sequential-vs-parallel speedup
    ratios — are written as one JSON document (default BENCH_spsta.json;
-   schema spsta-bench/5, documented in doc/perf.md).  Two flags extend
+   schema spsta-bench/6, documented in doc/perf.md).  Three flags extend
    the json mode with regression tracking (doc/perf.md):
 
      --history FILE    append a per-commit record of the tracked
@@ -36,7 +30,9 @@
      --threshold FRAC  regression threshold as a fraction (default 0.15)
 
    `--compare BASE CURRENT [--threshold FRAC]` compares two existing
-   documents without running anything. *)
+   documents without running anything.  `--scale-smoke` measures the
+   c100k scale entry as the json mode does and checks its fields
+   against fixed budgets. *)
 
 module Experiments = Spsta_experiments
 module Circuit = Spsta_netlist.Circuit
@@ -292,74 +288,6 @@ let enclosure_ablation () =
     (Spsta_util.Stats.mean fig.Experiments.Fig1.mc_delays)
     (Spsta_util.Stats.stddev fig.Experiments.Fig1.mc_delays)
 
-let scaling_section () =
-  (* runtime growth with circuit size (the paper's Table 3 claim that
-     SPSTA stays linear in the netlist): larger ISCAS'89 profiles with a
-     reduced MC budget *)
-  let table =
-    Spsta_util.Table.create
-      ~headers:[ "test"; "gates"; "SPSTA (s)"; "SSTA (s)"; "MC1000 (s)" ]
-  in
-  let time f =
-    let start = Sys.time () in
-    let _ = f () in
-    Sys.time () -. start
-  in
-  let spec = Experiments.Workloads.spec_fn Experiments.Workloads.Case_i in
-  List.iter
-    (fun name ->
-      let circuit = Experiments.Benchmarks.load name in
-      let t_spsta = time (fun () -> Analyzer.Moments.analyze circuit ~spec) in
-      let t_ssta = time (fun () -> Ssta.analyze circuit) in
-      let t_mc = time (fun () -> Monte_carlo.simulate ~runs:1000 ~seed circuit ~spec) in
-      Spsta_util.Table.add_row table
-        [ name; string_of_int (Circuit.gate_count circuit); Printf.sprintf "%.4f" t_spsta;
-          Printf.sprintf "%.4f" t_ssta; Printf.sprintf "%.4f" t_mc ])
-    [ "s344"; "s1238"; "s5378"; "s9234"; "s15850" ];
-  print_endline (Spsta_util.Table.render table)
-
-let bechamel_benchmarks () =
-  let open Bechamel in
-  let open Toolkit in
-  let circuit = Experiments.Benchmarks.load "s344" in
-  let spec = Experiments.Workloads.spec_fn Experiments.Workloads.Case_i in
-  let stage name f = Test.make ~name (Staged.stage f) in
-  let tests =
-    [
-      stage "table2/spsta-s344" (fun () -> ignore (Analyzer.Moments.analyze circuit ~spec));
-      stage "table2+table3/ssta-s344" (fun () -> ignore (Ssta.analyze circuit));
-      stage "table2+table3/mc100-s344" (fun () ->
-          ignore (Monte_carlo.simulate ~runs:100 ~seed circuit ~spec));
-      stage "table1/value4-tables" (fun () -> ignore (Experiments.Table1.render ()));
-      stage "fig1/sta-ssta-views" (fun () ->
-          ignore (Experiments.Fig1.run ~runs:50 ~seed ~case:Experiments.Workloads.Case_i ()));
-      stage "fig2/sum-max-ops" (fun () -> ignore (Experiments.Fig2.run ()));
-      stage "fig3/and-gate" (fun () -> ignore (Experiments.Fig3.run ()));
-      stage "fig4/weighted-sum" (fun () -> ignore (Experiments.Fig4.run ()));
-      stage "summary/exact-prob-s27" (fun () ->
-          ignore (Spsta_core.Exact_prob.compute (Experiments.Benchmarks.s27 ()) ~spec));
-    ]
-  in
-  let benchmark test =
-    let instances = Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 100) () in
-    Benchmark.all cfg instances test
-  in
-  let analyze results =
-    let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-    Analyze.all ols Instance.monotonic_clock results
-  in
-  let report test =
-    let stats = analyze (benchmark test) in
-    Hashtbl.iter
-      (fun name result ->
-        match Bechamel.Analyze.OLS.estimates result with
-        | Some [ est ] -> Printf.printf "  %-28s %14.1f ns/run\n%!" name est
-        | Some _ | None -> Printf.printf "  %-28s (no estimate)\n%!" name)
-      stats
-  in
-  List.iter report tests
-
 (* ---------- machine-readable mode ---------- *)
 
 let wall f =
@@ -367,31 +295,17 @@ let wall f =
   let v = f () in
   (Unix.gettimeofday () -. start, v)
 
-(* Noise-resistant wall clock.  Sub-millisecond analyses (SSTA on the
-   small circuits runs in tens of microseconds) are hopeless to time
-   single-shot: timer granularity and scheduler noise dominate.  A
-   calibration run picks a repetition count n so one measurement batch
-   takes at least [min_batch_s]; the reported time is the minimum over
-   at least three batches — more until the batches have spanned
-   [measure_budget_s], capped at [max_batches] — divided by n.  Only
-   runs whose calibration alone
-   exceeds [batch_budget_s] stay single-sample (minutes-long Monte
-   Carlo sweeps must not quadruple) — in particular the multi-second
-   scale sweeps, which used to report one cold sample carrying CSR
-   construction and first-touch page faults, are min-of-3 warm batches
-   now.  The total number of timed calls behind each figure is recorded
-   next to every entry in the JSON ([timing_n]; 1 flags a
-   single-sample entry).
-
-   The [Gc.compact] before calibration is not cosmetic: the
-   allocation-heavy entries (the untruncated grid baseline above all)
-   are strongly coupled to the heap state the process accumulated
-   before the measurement — the same s1238 grid sweep was observed at
-   0.13 s after one workload history and 1.17 s after another, a 9x
-   swing with identical work.  Compacting first pins every measurement
-   to the same (fresh-heap) starting point, which is what makes
-   figures comparable across processes, and hence across commits — the
-   whole point of the tracked history and the [--compare] gate. *)
+(* Noise-resistant wall clock (doc/perf.md, "The benchmark").  A
+   calibration run picks a repetition count n so one batch takes at
+   least [min_batch_s]; the reported time is the minimum over at least
+   three batches — more until they have spanned [measure_budget_s],
+   capped at [max_batches] — divided by n.  A run whose calibration
+   alone exceeds [batch_budget_s] stays single-sample; the total timed
+   calls behind each figure go into the JSON as [timing_n].  The heap is
+   compacted before calibration and before every batch: the
+   allocation-heavy entries swing up to 9x with the heap history the
+   process accumulated, and a fresh heap makes figures comparable across
+   processes, and hence across commits. *)
 let min_batch_s = 0.010
 let batch_budget_s = 3.0
 let measure_budget_s = 1.0
@@ -434,6 +348,16 @@ let wall_best f =
     done;
     (!best, v, !batches * n)
   end
+
+let ratio num den = if den > 0.0 then num /. den else 0.0
+
+(* Every parallel entry runs at [domains]: 4 where the host has them,
+   else 2, so each [*_domains] ratio compares one domain with several.
+   A one-core host cannot speed anything up; its ratios are written
+   null. *)
+let cores = Domain.recommended_domain_count ()
+let domains = if cores >= 4 then 4 else max 2 cores
+let domain_ratio seq par = if cores < 2 then Json.Null else Json.float (ratio seq par)
 
 (* Sizing workload.  Two measurements feed the [sizing] JSON section:
 
@@ -522,7 +446,6 @@ let json_bench_sizing circuit =
         match m.Sizer.direction with `Down -> acc +. delta | `Up -> acc)
       0.0 report.Sizer.moves
   in
-  let ratio num den = if den > 0.0 then num /. den else 0.0 in
   Printf.eprintf
     "           sizing: full %.5fs incr %.6fs (x%.1f) sizer %.3fs (%d up, %d down; \
 %d never-critical, %d pruned)\n%!"
@@ -588,9 +511,10 @@ let json_bench_sizing circuit =
    the epsilon-truncation and kernel-cache optimisations disabled (the
    pre-optimisation baseline) and once as configured by default — the
    ratio isolates the kernel work, not machine noise across runs.  The
-   parallel variants use the machine's recommended domain count; on a
-   single-core host they degenerate to the sequential timings. *)
-let json_bench_circuit ~mc_runs ~domains name =
+   parallel variants run at [domains].  The scalar Monte Carlo engine is
+   a test reference, timed sequentially only: it anchors
+   [mc_packed_speedup] and the packed engine's fidelity check. *)
+let json_bench_circuit ~mc_runs name =
   let circuit = Experiments.Benchmarks.load name in
   let spec = Experiments.Workloads.spec_fn Experiments.Workloads.Case_i in
   let dt = 0.1 and delay_sigma = 0.4 in
@@ -621,10 +545,6 @@ let json_bench_circuit ~mc_runs ~domains name =
     wall_best (fun () ->
         Monte_carlo.simulate_scalar ~runs:mc_runs ~domains:1 ~seed circuit ~spec)
   in
-  let t_mc_par, _, n_mc_par =
-    wall_best (fun () ->
-        Monte_carlo.simulate_scalar ~runs:mc_runs ~domains ~seed circuit ~spec)
-  in
   let t_mc_packed, mc_packed, n_mc_packed =
     wall_best (fun () -> Monte_carlo.simulate ~runs:mc_runs ~seed circuit ~spec)
   in
@@ -635,81 +555,51 @@ let json_bench_circuit ~mc_runs ~domains name =
   (* cross-engine fidelity: the packed engine must reproduce the scalar
      reference exactly — equal per-net counts and bit-equal Welford
      accumulators *)
-  let mc_counts_equal, mc_stats_equal =
-    let counts = ref true and stats = ref true in
-    let acc_eq (p : Spsta_util.Stats.acc) (q : Spsta_util.Stats.acc) =
-      p.Spsta_util.Stats.n = q.Spsta_util.Stats.n
-      && p.Spsta_util.Stats.mu = q.Spsta_util.Stats.mu
-      && p.Spsta_util.Stats.m2 = q.Spsta_util.Stats.m2
-      && p.Spsta_util.Stats.lo = q.Spsta_util.Stats.lo
-      && p.Spsta_util.Stats.hi = q.Spsta_util.Stats.hi
-    in
-    Array.iteri
-      (fun i (x : Monte_carlo.net_stats) ->
-        let y = mc_packed.Monte_carlo.per_net.(i) in
-        if
-          not
-            (x.Monte_carlo.count_zero = y.Monte_carlo.count_zero
-            && x.Monte_carlo.count_one = y.Monte_carlo.count_one
-            && x.Monte_carlo.count_rise = y.Monte_carlo.count_rise
-            && x.Monte_carlo.count_fall = y.Monte_carlo.count_fall)
-        then counts := false;
-        if
-          not
-            (acc_eq x.Monte_carlo.rise_times y.Monte_carlo.rise_times
-            && acc_eq x.Monte_carlo.fall_times y.Monte_carlo.fall_times)
-        then stats := false)
-      mc_scalar.Monte_carlo.per_net;
-    (!counts, !stats)
+  let all_nets p = Array.for_all2 p mc_scalar.Monte_carlo.per_net mc_packed.Monte_carlo.per_net in
+  let mc_counts_equal =
+    all_nets (fun (x : Monte_carlo.net_stats) y ->
+        x.count_zero = y.count_zero && x.count_one = y.count_one
+        && x.count_rise = y.count_rise && x.count_fall = y.count_fall)
   in
-  let ratio num den = if den > 0.0 then num /. den else 0.0 in
+  let mc_stats_equal =
+    all_nets (fun (x : Monte_carlo.net_stats) y ->
+        x.rise_times = y.rise_times && x.fall_times = y.fall_times)
+  in
   let (b_mu, b_sig, b_p) = baseline_stats and (o_mu, o_sig, o_p) = opt_stats in
   Printf.eprintf
     "  %-8s grid %.3fs (baseline %.3fs, x%.2f) moment %.3fs mc %.3fs (packed %.3fs, x%.2f)\n%!"
     name t_grid t_grid_baseline (ratio t_grid_baseline t_grid) t_moment t_mc t_mc_packed
     (ratio t_mc t_mc_packed);
+  let timed =
+    [ ("spsta_moment", t_moment, n_moment);
+      ("spsta_moment_parallel", t_moment_par, n_moment_par);
+      ("spsta_grid_baseline", t_grid_baseline, n_grid_baseline);
+      ("spsta_grid", t_grid, n_grid);
+      ("spsta_grid_parallel", t_grid_par, n_grid_par);
+      ("ssta", t_ssta, n_ssta);
+      ("ssta_parallel", t_ssta_par, n_ssta_par);
+      ("mc", t_mc, n_mc);
+      ("mc_packed", t_mc_packed, n_mc_packed);
+      ("mc_packed_parallel", t_mc_packed_par, n_mc_packed_par) ]
+  in
   Json.Obj
     [ ("name", Json.string name);
       ("gates", Json.int (Circuit.gate_count circuit));
       ("depth", Json.int (Circuit.depth circuit));
-      ("timings_s",
-       Json.Obj
-         [ ("spsta_moment", Json.float t_moment);
-           ("spsta_moment_parallel", Json.float t_moment_par);
-           ("spsta_grid_baseline", Json.float t_grid_baseline);
-           ("spsta_grid", Json.float t_grid);
-           ("spsta_grid_parallel", Json.float t_grid_par);
-           ("ssta", Json.float t_ssta);
-           ("ssta_parallel", Json.float t_ssta_par);
-           ("mc", Json.float t_mc);
-           ("mc_parallel", Json.float t_mc_par);
-           ("mc_packed", Json.float t_mc_packed);
-           ("mc_packed_parallel", Json.float t_mc_packed_par) ]);
-      (* total timed calls behind each timings_s entry: min over three
-         batches of calls sized to span at least 10 ms each; 1 flags a
-         single-sample entry beyond the batch budget *)
-      ("timing_n",
-       Json.Obj
-         [ ("spsta_moment", Json.int n_moment);
-           ("spsta_moment_parallel", Json.int n_moment_par);
-           ("spsta_grid_baseline", Json.int n_grid_baseline);
-           ("spsta_grid", Json.int n_grid);
-           ("spsta_grid_parallel", Json.int n_grid_par);
-           ("ssta", Json.int n_ssta);
-           ("ssta_parallel", Json.int n_ssta_par);
-           ("mc", Json.int n_mc);
-           ("mc_parallel", Json.int n_mc_par);
-           ("mc_packed", Json.int n_mc_packed);
-           ("mc_packed_parallel", Json.int n_mc_packed_par) ]);
+      (* each timings_s entry beside the total timed calls behind it
+         (timing_n): min over batches of calls sized to span at least
+         10 ms each; 1 flags a single-sample entry beyond the batch
+         budget *)
+      ("timings_s", Json.Obj (List.map (fun (k, t, _) -> (k, Json.float t)) timed));
+      ("timing_n", Json.Obj (List.map (fun (k, _, n) -> (k, Json.int n)) timed));
       ("speedups",
        Json.Obj
          [ ("grid_kernels", Json.float (ratio t_grid_baseline t_grid));
-           ("grid_domains", Json.float (ratio t_grid t_grid_par));
-           ("moment_domains", Json.float (ratio t_moment t_moment_par));
-           ("ssta_domains", Json.float (ratio t_ssta t_ssta_par));
-           ("mc_domains", Json.float (ratio t_mc t_mc_par));
+           ("grid_domains", domain_ratio t_grid t_grid_par);
+           ("moment_domains", domain_ratio t_moment t_moment_par);
+           ("ssta_domains", domain_ratio t_ssta t_ssta_par);
            ("mc_packed_speedup", Json.float (ratio t_mc t_mc_packed));
-           ("mc_packed_domains", Json.float (ratio t_mc_packed t_mc_packed_par)) ]);
+           ("mc_packed_domains", domain_ratio t_mc_packed t_mc_packed_par) ]);
       (* engine-fidelity check: the packed bit-parallel engine must equal
          the scalar oracle exactly at the same (runs, seed) *)
       ("mc_fidelity",
@@ -734,8 +624,8 @@ let json_bench_circuit ~mc_runs ~domains name =
    baseline it replaces.  The grid/moment engines only run at c100k —
    at a million gates they are minutes-long and the scale story they'd
    tell is the same.  Domain speedups here are honest measurements on
-   the current host; on a single-core machine they sit near 1.0 by
-   construction (see doc/perf.md). *)
+   the current host at [domains]; a single-core host writes them null
+   (see doc/perf.md). *)
 
 let scale_dirty_cone circuit root = Array.length (Propagate.dirty_cone circuit ~changed:[ root ])
 
@@ -744,7 +634,21 @@ let scale_profile name =
   | Some p -> p
   | None -> failwith (Printf.sprintf "unknown scale profile %s" name)
 
-let json_bench_scale ~domains name =
+(* equal mean and sigma, rise and fall, at every net *)
+let ssta_identical circuit a b =
+  let eq n m =
+    Spsta_dist.Normal.mean n = Spsta_dist.Normal.mean m
+    && Spsta_dist.Normal.stddev n = Spsta_dist.Normal.stddev m
+  in
+  Seq.for_all
+    (fun i ->
+      let x = Ssta.arrival a i and y = Ssta.arrival b i in
+      eq x.Ssta.rise y.Ssta.rise && eq x.Ssta.fall y.Ssta.fall)
+    (Seq.init (Circuit.num_nets circuit) Fun.id)
+
+(* returns the generated circuit beside its entry, for the checks of
+   [scale_smoke] that are not timings of the entry *)
+let json_bench_scale name =
   let profile = scale_profile name in
   let t_gen, circuit = wall (fun () -> Spsta_netlist.Generator.generate profile) in
   let gates = Circuit.gate_count circuit in
@@ -755,7 +659,9 @@ let json_bench_scale ~domains name =
     wall_best (fun () -> Spsta_netlist.Bench_io.parse_string text)
   in
   let t_ssta, r0, n_ssta = wall_best (fun () -> Ssta.analyze circuit) in
-  let t_ssta_par, _, n_ssta_par = wall_best (fun () -> Ssta.analyze ~domains circuit) in
+  let t_ssta_par, r_par, n_ssta_par = wall_best (fun () -> Ssta.analyze ~domains circuit) in
+  (* the pooled schedule must be bit-identical to the sequential sweep *)
+  let identical = ssta_identical circuit r0 r_par in
   (* two incremental workloads: a mid-topo gate flip (the sizer's move
      evaluation — typically a tiny cone) and a primary-input re-seed
      (the sequential-iteration workload — a larger cone) *)
@@ -784,7 +690,6 @@ let json_bench_scale ~domains name =
       (fun (name, count) -> (name, Json.int count))
       (Spsta_analysis.Static.fact_counts static)
   in
-  let ratio num den = if den > 0.0 then num /. den else 0.0 in
   (* the paper's own analysis at every scale, on the flat moment kernel *)
   let spec = Experiments.Workloads.spec_fn Experiments.Workloads.Case_i in
   let t_moment, _, n_moment = wall_best (fun () -> Analyzer.Moments.analyze circuit ~spec) in
@@ -794,7 +699,7 @@ let json_bench_scale ~domains name =
   let moment_fields =
     [ ("moment_s", Json.float t_moment);
       ("moment_parallel_s", Json.float t_moment_par);
-      ("moment_domains", Json.float (ratio t_moment t_moment_par));
+      ("moment_domains", domain_ratio t_moment t_moment_par);
       ("moment_n", Json.int n_moment);
       ("moment_parallel_n", Json.int n_moment_par) ]
   in
@@ -807,7 +712,8 @@ moment %.3fs (par %.3fs)\n%!"
     t_static
     (Spsta_analysis.Static.total_facts static)
     t_moment t_moment_par;
-  Json.Obj
+  ( circuit,
+    Json.Obj
     ([ ("name", Json.string name);
        ("gates", Json.int gates);
        ("depth", Json.int (Circuit.depth circuit));
@@ -815,7 +721,8 @@ moment %.3fs (par %.3fs)\n%!"
        ("parse_s", Json.float t_parse);
        ("ssta_s", Json.float t_ssta);
        ("ssta_parallel_s", Json.float t_ssta_par);
-       ("ssta_domains", Json.float (ratio t_ssta t_ssta_par));
+       ("ssta_domains", domain_ratio t_ssta t_ssta_par);
+       ("ssta_parallel_identical", Json.bool identical);
        ("incremental_update_s", Json.float t_upd);
        ("incremental_speedup", Json.float (ratio t_ssta t_upd));
        ("dirty_gates", Json.int dirty_gates);
@@ -835,7 +742,9 @@ moment %.3fs (par %.3fs)\n%!"
             ("source_update_s", Json.int n_src_upd);
             ("lint_s", Json.int n_lint);
             ("static_s", Json.int n_static) ]) ]
-    @ moment_fields)
+    @ moment_fields) )
+
+let names_of s = String.split_on_char ',' s |> List.map String.trim |> List.filter (( <> ) "")
 
 let scale_names () =
   match Sys.getenv_opt "SPSTA_BENCH_SCALE" with
@@ -844,32 +753,28 @@ let scale_names () =
     match String.trim s with
     | "" | "0" | "off" -> []
     | "1" | "on" -> [ "c100k"; "c1000k" ]
-    | s ->
-      String.split_on_char ',' s |> List.map String.trim |> List.filter (fun s -> s <> ""))
+    | s -> names_of s)
 
 let json_mode path =
   let circuits =
     match Sys.getenv_opt "SPSTA_BENCH_CIRCUITS" with
-    | Some s when String.trim s <> "" ->
-      String.split_on_char ',' s |> List.map String.trim
-      |> List.filter (fun s -> s <> "")
+    | Some s when String.trim s <> "" -> names_of s
     | Some _ | None -> [ "s344"; "s1238"; "s5378" ]
   in
   let mc_runs = min runs 2_000 in
-  let domains = Spsta_util.Parallel.default_domains () in
   let scale = scale_names () in
   Printf.eprintf "bench json mode: %s (mc runs %d, %d domains; scale: %s)\n%!"
     (String.concat ", " circuits) mc_runs domains
     (if scale = [] then "off" else String.concat ", " scale);
   let doc =
     Json.Obj
-      [ ("schema", Json.string "spsta-bench/5");
+      [ ("schema", Json.string "spsta-bench/6");
         ("mc_runs", Json.int mc_runs);
         ("seed", Json.int seed);
         ("domains", Json.int domains);
-        ("host_cores", Json.int (Domain.recommended_domain_count ()));
-        ("circuits", Json.List (List.map (json_bench_circuit ~mc_runs ~domains) circuits));
-        ("scale", Json.List (List.map (json_bench_scale ~domains) scale)) ]
+        ("host_cores", Json.int cores);
+        ("circuits", Json.List (List.map (json_bench_circuit ~mc_runs) circuits));
+        ("scale", Json.List (List.map (fun n -> snd (json_bench_scale n)) scale)) ]
   in
   let oc = open_out path in
   output_string oc (Json.to_string doc);
@@ -878,49 +783,37 @@ let json_mode path =
   Printf.eprintf "wrote %s\n%!" path;
   doc
 
-(* Bounded CI gate for the scale work (`make scale-smoke`): c100k must
-   generate and analyze inside generous wall-time budgets, the pooled
-   sweep must be bit-identical to the sequential one, and the dirty-cone
-   update must beat the full sweep by a wide margin.  The ?domains
-   speedup floor is guarded by the host's core count — a single-core
-   runner cannot speed anything up and is not asked to. *)
+(* Bounded CI gate for the scale work (`make scale-smoke`): the c100k
+   entry, measured as the json mode measures it, must show generation
+   and SSTA inside generous wall-time budgets, a pooled sweep
+   bit-identical to the sequential one, and a dirty-cone update that
+   beats the full sweep by a wide margin.  The ?domains speedup floor is
+   guarded by the host's core count — a single-core runner cannot speed
+   anything up and is not asked to. *)
 let scale_smoke () =
   let failed = ref false in
   let check name ok detail =
     Printf.printf "%s  %-42s %s\n%!" (if ok then "PASS" else "FAIL") name detail;
     if not ok then failed := true
   in
-  let cores = Domain.recommended_domain_count () in
   Printf.printf "scale smoke: c100k on %d core(s)\n%!" cores;
-  let t_gen, circuit = wall (fun () -> Spsta_netlist.Generator.generate (scale_profile "c100k")) in
-  check "generation under 60 s" (t_gen < 60.0) (Printf.sprintf "%.2fs" t_gen);
-  let t_ssta, r_seq, _ = wall_best (fun () -> Ssta.analyze circuit) in
-  check "ssta under 10 s" (t_ssta < 10.0) (Printf.sprintf "%.3fs" t_ssta);
-  (* pooled schedule must be bit-identical to the sequential sweep *)
-  let domains = if cores >= 4 then 4 else max 2 cores in
-  let r_par = Ssta.analyze ~domains circuit in
-  let identical = ref true in
-  for i = 0 to Circuit.num_nets circuit - 1 do
-    let a = Ssta.arrival r_seq i and b = Ssta.arrival r_par i in
-    let eq n m =
-      Spsta_dist.Normal.mean n = Spsta_dist.Normal.mean m
-      && Spsta_dist.Normal.stddev n = Spsta_dist.Normal.stddev m
-    in
-    if not (eq a.Ssta.rise b.Ssta.rise && eq a.Ssta.fall b.Ssta.fall) then identical := false
-  done;
+  let circuit, entry = json_bench_scale "c100k" in
+  (* a missing field reads nan and fails its check *)
+  let num key = match Json.member key entry with Some (Json.Num x) -> x | _ -> nan in
+  check "generation under 60 s" (num "generate_s" < 60.0)
+    (Printf.sprintf "%.2fs" (num "generate_s"));
+  check "ssta under 10 s" (num "ssta_s" < 10.0) (Printf.sprintf "%.3fs" (num "ssta_s"));
   check
     (Printf.sprintf "bit-identical at domains=%d" domains)
-    !identical
+    (Json.member "ssta_parallel_identical" entry = Some (Json.Bool true))
     (Printf.sprintf "%d nets" (Circuit.num_nets circuit));
   (* speedup floor, guarded by what the host can physically deliver *)
   (if cores >= 2 then begin
-     let t_par, _, _ = wall_best (fun () -> Ssta.analyze ~domains circuit) in
-     let speedup = if t_par > 0.0 then t_ssta /. t_par else 0.0 in
      let floor = if cores >= 4 then 1.5 else 1.05 in
      check
        (Printf.sprintf "ssta domains=%d speedup >= %.2f" domains floor)
-       (speedup >= floor)
-       (Printf.sprintf "x%.2f" speedup)
+       (num "ssta_domains" >= floor)
+       (Printf.sprintf "x%.2f" (num "ssta_domains"))
    end
    else Printf.printf "SKIP  %-42s single-core host\n%!" "ssta ?domains speedup floor");
   (* dirty-cone incremental update vs the full sweep it replaces: a
@@ -928,23 +821,19 @@ let scale_smoke () =
      absolute bound is the complementary guard: a cone update must stay
      in single-digit milliseconds at 100k gates or the per-mutation
      economics break regardless of the ratio. *)
-  let topo = Circuit.topo_gates circuit in
-  let root = topo.(Array.length topo / 2) in
-  let t_upd, _, _ = wall_best (fun () -> Ssta.update r_seq ~changed:[ root ]) in
-  let speedup = if t_upd > 0.0 then t_ssta /. t_upd else 0.0 in
   check "incremental update speedup >= 20"
-    (speedup >= 20.0)
-    (Printf.sprintf "x%.0f (%d dirty gates)" speedup (scale_dirty_cone circuit root));
-  check "incremental update under 10 ms" (t_upd < 0.010)
-    (Printf.sprintf "%.4fs" t_upd);
-  (* the full static-analysis stack (ISSUE acceptance: all four passes
-     combined under 1 s single-core at c100k, bit-deterministic) *)
-  let module Static = Spsta_analysis.Static in
-  let t_static, s1, _ = wall_best (fun () -> Static.run circuit) in
-  check "static passes under 1 s" (t_static < 1.0) (Printf.sprintf "%.3fs" t_static);
+    (num "incremental_speedup" >= 20.0)
+    (Printf.sprintf "x%.0f (%.0f dirty gates)" (num "incremental_speedup") (num "dirty_gates"));
+  check "incremental update under 10 ms" (num "incremental_update_s" < 0.010)
+    (Printf.sprintf "%.4fs" (num "incremental_update_s"));
+  (* the full static-analysis stack: all four passes combined under 1 s
+     single-core at c100k, bit-deterministic *)
+  check "static passes under 1 s" (num "static_s" < 1.0)
+    (Printf.sprintf "%.3fs" (num "static_s"));
   (* the signoff order: lint runs its own reconvergence pass, then the
      static stack runs it again, so this pair guards the region walk *)
-  let t_layer, _, _ =
+  let module Static = Spsta_analysis.Static in
+  let t_layer, s1, _ =
     wall_best (fun () ->
         ignore (Spsta_lint.Lint.check_circuit circuit);
         Static.run circuit)
@@ -961,16 +850,10 @@ let scale_smoke () =
     (Printf.sprintf "%d facts" (Static.total_facts s1));
   if !failed then exit 1
 
-(* ---------- regression tracking (lib/server/bench_track.ml) ---------- *)
-
-module Bench_track = Spsta_server.Bench_track
+(* ---------- regression tracking (bench/bench_track.ml) ---------- *)
 
 let read_doc path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  match Json.of_string_opt text with
+  match Json.of_string_opt (In_channel.with_open_bin path In_channel.input_all) with
   | Some doc -> doc
   | None ->
     Printf.eprintf "error: %s is not valid JSON\n%!" path;
@@ -992,25 +875,19 @@ let utc_now () =
   Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
     tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
 
+let print_regressions =
+  List.iter (fun (r : Bench_track.regression) ->
+      Printf.eprintf "  REGRESSED %-36s %.4fs -> %.4fs (x%.2f)\n%!" r.Bench_track.metric
+        r.Bench_track.base_s r.Bench_track.current_s r.Bench_track.ratio)
+
 (* prints the verdict; true iff no metric regressed beyond the threshold *)
 let report_compare ~threshold ~base_path base current =
   let compared, regressions = Bench_track.compare_docs ~threshold ~base ~current () in
   Printf.eprintf "compare vs %s: %d metrics within +%.0f%%, %d regressed\n%!" base_path
     (compared - List.length regressions)
     (100.0 *. threshold) (List.length regressions);
-  List.iter
-    (fun (r : Bench_track.regression) ->
-      Printf.eprintf "  REGRESSED %-36s %.4fs -> %.4fs (x%.2f)\n%!" r.Bench_track.metric
-        r.Bench_track.base_s r.Bench_track.current_s r.Bench_track.ratio)
-    regressions;
+  print_regressions regressions;
   regressions = []
-
-type json_opts = {
-  mutable out : string;
-  mutable history : string option;
-  mutable base : string option;
-  mutable threshold : float;
-}
 
 let bad_usage () =
   Printf.eprintf
@@ -1028,37 +905,38 @@ let parse_threshold s =
     exit 2
 
 let json_cli rest =
-  let o = { out = "BENCH_spsta.json"; history = None; base = None; threshold = Bench_track.default_threshold } in
+  let out = ref "BENCH_spsta.json" and history = ref None and base = ref None in
+  let threshold = ref Bench_track.default_threshold in
   let rec parse = function
     | [] -> ()
     | "--history" :: file :: rest ->
-      o.history <- Some file;
+      history := Some file;
       parse rest
-    | "--compare" :: base :: rest ->
-      o.base <- Some base;
+    | "--compare" :: path :: rest ->
+      base := Some path;
       parse rest
     | "--threshold" :: t :: rest ->
-      o.threshold <- parse_threshold t;
+      threshold := parse_threshold t;
       parse rest
     | path :: rest when String.length path > 0 && path.[0] <> '-' ->
-      o.out <- path;
+      out := path;
       parse rest
     | _ -> bad_usage ()
   in
   parse rest;
   (* read the baseline before the long run so a bad path fails fast *)
-  let base = Option.map (fun p -> (p, read_doc p)) o.base in
-  let doc = json_mode o.out in
+  let base = Option.map (fun p -> (p, read_doc p)) !base in
+  let doc = json_mode !out in
   Option.iter
     (fun path ->
       Bench_track.append_history ~path
         (Bench_track.history_record ~commit:(commit_id ()) ~utc:(utc_now ()) doc);
       Printf.eprintf "appended history record to %s\n%!" path)
-    o.history;
+    !history;
   match base with
   | None -> exit 0
   | Some (base_path, base) ->
-    if report_compare ~threshold:o.threshold ~base_path base doc then exit 0
+    if report_compare ~threshold:!threshold ~base_path base doc then exit 0
     else begin
       (* Confirm-on-fail: one flagged metric out of ~30 is as likely a
          sustained scheduler burst on a shared host as a real
@@ -1068,31 +946,20 @@ let json_cli rest =
          definition.  The re-measured document replaces the output
          file; the history keeps the first run's record only. *)
       Printf.eprintf "re-measuring to separate interference from real regressions...\n%!";
-      let doc2 = json_mode o.out in
+      let doc2 = json_mode !out in
       let regressed_in d =
-        let _, rs = Bench_track.compare_docs ~threshold:o.threshold ~base ~current:d () in
-        rs
+        snd (Bench_track.compare_docs ~threshold:!threshold ~base ~current:d ())
       in
-      let second = regressed_in doc2 in
-      let persistent =
-        List.filter
-          (fun (r : Bench_track.regression) ->
-            List.exists
-              (fun (r2 : Bench_track.regression) -> r2.Bench_track.metric = r.Bench_track.metric)
-              second)
-          (regressed_in doc)
-      in
+      let metric (r : Bench_track.regression) = r.Bench_track.metric in
+      let second = List.map metric (regressed_in doc2) in
+      let persistent = List.filter (fun r -> List.mem (metric r) second) (regressed_in doc) in
       match persistent with
       | [] ->
         Printf.eprintf "no regression reproduced on re-measurement; passing\n%!";
         exit 0
       | rs ->
         Printf.eprintf "%d regression(s) reproduced across both runs:\n%!" (List.length rs);
-        List.iter
-          (fun (r : Bench_track.regression) ->
-            Printf.eprintf "  REGRESSED %-36s %.4fs -> %.4fs (x%.2f)\n%!" r.Bench_track.metric
-              r.Bench_track.base_s r.Bench_track.current_s r.Bench_track.ratio)
-          rs;
+        print_regressions rs;
         exit 1
     end
 
@@ -1118,27 +985,11 @@ let () =
   | _ -> ()
 
 let () =
-  section "TABLE1" (fun () -> print_string (Experiments.Table1.render ()));
-  section "FIG2" (fun () -> print_string (Experiments.Fig2.render (Experiments.Fig2.run ())));
-  section "FIG3" (fun () -> print_string (Experiments.Fig3.render (Experiments.Fig3.run ())));
-  section "FIG4" (fun () -> print_string (Experiments.Fig4.render (Experiments.Fig4.run ())));
-  section "TABLE2" (fun () ->
-      List.iter
-        (fun case ->
-          print_string
-            (Experiments.Table2.render ~case (Experiments.Table2.run_suite ~runs ~seed ~case ()));
-          print_newline ())
-        Experiments.Workloads.all_cases);
-  section "FIG1" (fun () ->
-      print_string
-        (Experiments.Fig1.render
-           (Experiments.Fig1.run ~runs ~seed ~case:Experiments.Workloads.Case_i ())));
-  section "TABLE3" (fun () ->
-      print_string
-        (Experiments.Table3.render
-           (Experiments.Table3.run_suite ~runs ~seed ~case:Experiments.Workloads.Case_i ())));
-  section "SUMMARY" (fun () ->
-      print_string (Experiments.Summary.render (Experiments.Summary.run ~runs ~seed ())));
+  List.iter
+    (fun id ->
+      section (String.uppercase_ascii id) (fun () ->
+          print_string (Experiments.Runner.run ~runs ~seed id)))
+    [ "table1"; "fig2"; "fig3"; "fig4"; "table2"; "fig1"; "table3"; "summary" ];
   section "ABLATION: t.o.p. backend" ablation;
   section "ABLATION: correlation handling" correlation_ablation;
   section "ABLATION: process variation" process_variation_ablation;
@@ -1148,6 +999,4 @@ let () =
   section "ABLATION: interconnect loading" interconnect_ablation;
   section "ABLATION: cell library" cell_library_ablation;
   section "ABLATION: multiple-input switching" mis_ablation;
-  section "ABLATION: enclosures" enclosure_ablation;
-  section "SCALING" scaling_section;
-  section "BECHAMEL" bechamel_benchmarks
+  section "ABLATION: enclosures" enclosure_ablation

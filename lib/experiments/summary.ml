@@ -22,47 +22,44 @@ let mean_of = function [] -> 0.0 | xs -> List.fold_left ( +. ) 0.0 xs /. float_o
 
 let of_rows rows =
   let usable = List.filter (fun (r : Table2.row) -> r.Table2.mc.Table2.prob >= 0.005) rows in
-  let rel reference x = Stats.relative_error ~reference x in
-  let spsta_mu = mean_of (List.map (fun r -> rel r.Table2.mc.Table2.mu r.Table2.spsta.Table2.mu) usable) in
-  let spsta_sigma =
-    mean_of (List.map (fun r -> rel r.Table2.mc.Table2.sigma r.Table2.spsta.Table2.sigma) usable)
+  (* mean relative error of one method's [stat] against Monte Carlo's *)
+  let error meth stat =
+    mean_of
+      (List.map
+         (fun (r : Table2.row) -> Stats.relative_error ~reference:(stat r.Table2.mc) (stat (meth r)))
+         usable)
   in
-  let ssta_mu = mean_of (List.map (fun r -> rel r.Table2.mc.Table2.mu r.Table2.ssta.Table2.mu) usable) in
-  let ssta_sigma =
-    mean_of (List.map (fun r -> rel r.Table2.mc.Table2.sigma r.Table2.ssta.Table2.sigma) usable)
-  in
-  { spsta_mu; spsta_sigma; ssta_mu; ssta_sigma; rows_used = List.length usable }
+  let spsta (r : Table2.row) = r.Table2.spsta and ssta (r : Table2.row) = r.Table2.ssta in
+  let mu (s : Table2.method_stats) = s.Table2.mu
+  and sigma (s : Table2.method_stats) = s.Table2.sigma in
+  { spsta_mu = error spsta mu; spsta_sigma = error spsta sigma; ssta_mu = error ssta mu;
+    ssta_sigma = error ssta sigma; rows_used = List.length usable }
 
-(* mean relative signal-probability error of SPSTA vs MC over all
-   non-source nets whose MC signal probability is bounded away from 0 *)
-let signal_prob_errors ?(runs = 10_000) ?(seed = 42) ?mc_domains ~case circuit =
-  let spec = Workloads.spec_fn case in
-  let mc = Monte_carlo.simulate ~runs ~seed ?domains:mc_domains circuit ~spec in
-  let spsta = Analyzer.Moments.analyze circuit ~spec in
+(* mean relative signal-probability error of SPSTA vs MC, on the runs
+   of one Table 2 circuit, over all non-source nets whose MC signal
+   probability is bounded away from 0 *)
+let signal_prob_errors (m : Table2.measured) =
   let errors = ref [] in
   Array.iter
     (fun g ->
-      let reference = Monte_carlo.signal_probability (Monte_carlo.stats mc g) in
+      let reference = Monte_carlo.signal_probability (Monte_carlo.stats m.Table2.mc_result g) in
       if reference >= 0.01 then begin
         let estimate =
-          Four_value.signal_probability (Analyzer.Moments.signal spsta g).Analyzer.Moments.probs
+          Four_value.signal_probability
+            (Analyzer.Moments.signal m.Table2.spsta_result g).Analyzer.Moments.probs
         in
         errors := Stats.relative_error ~reference estimate :: !errors
       end)
-    (Circuit.topo_gates circuit);
+    (Circuit.topo_gates m.Table2.circuit);
   !errors
 
 let run ?(runs = 10_000) ?(seed = 42) ?mc_domains () =
-  let rows_i = Table2.run_suite ~runs ~seed ?mc_domains ~case:Workloads.Case_i () in
-  let rows_ii = Table2.run_suite ~runs ~seed ?mc_domains ~case:Workloads.Case_ii () in
-  let arrival_errors = of_rows (rows_i @ rows_ii) in
-  let sp_errors =
-    List.concat_map
-      (fun name ->
-        let circuit = Benchmarks.load name in
-        signal_prob_errors ~runs ~seed ?mc_domains ~case:Workloads.Case_i circuit)
-      Benchmarks.evaluated_names
+  let case_i = Table2.run_suite ~runs ~seed ?mc_domains ~case:Workloads.Case_i () in
+  let rows_ii =
+    Table2.suite_rows (Table2.run_suite ~runs ~seed ?mc_domains ~case:Workloads.Case_ii ())
   in
+  let arrival_errors = of_rows (Table2.suite_rows case_i @ rows_ii) in
+  let sp_errors = List.concat_map signal_prob_errors case_i in
   {
     arrival_errors;
     signal_prob_error = mean_of sp_errors;

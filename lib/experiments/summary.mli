@@ -27,8 +27,8 @@ val run :
   ?mc_domains:int ->
   unit ->
   t
-(** Runs Table 2 for both cases plus a per-net signal-probability
-    comparison on the full suite.  [mc_domains] (default 1) is the Monte
-    Carlo domain count; the result is identical at every count. *)
+(** Runs Table 2 for both cases, then compares per-net signal
+    probabilities on the case I runs.  [mc_domains] (default 1) is the
+    Monte Carlo domain count; the result is identical at every count. *)
 
 val render : t -> string

@@ -48,7 +48,14 @@ let critical_endpoint circuit (mc : Monte_carlo.result) direction =
       (List.hd endpoints) endpoints
   | e0 :: rest -> List.fold_left (fun best e -> if mean e > mean best then e else best) e0 rest
 
-let run_circuit ?(runs = 10_000) ?(seed = 42) ?mc_domains circuit ~case =
+type measured = {
+  circuit : Circuit.t;
+  mc_result : Monte_carlo.result;
+  spsta_result : Analyzer.Moments.result;
+  rows : row list;
+}
+
+let measure ?(runs = 10_000) ?(seed = 42) ?mc_domains circuit ~case =
   let spec = Workloads.spec_fn case in
   let mc = Monte_carlo.simulate ~runs ~seed ?domains:mc_domains circuit ~spec in
   let spsta = Analyzer.Moments.analyze circuit ~spec in
@@ -59,12 +66,8 @@ let run_circuit ?(runs = 10_000) ?(seed = 42) ?mc_domains circuit ~case =
     let s_mean, s_sigma, s_prob =
       Analyzer.Moments.transition_stats (Analyzer.Moments.signal spsta e) direction
     in
-    let ssta_arrival = Ssta.arrival ssta e in
-    let ssta_normal =
-      match direction with
-      | `Rise -> ssta_arrival.Ssta.rise
-      | `Fall -> ssta_arrival.Ssta.fall
-    in
+    let a = Ssta.arrival ssta e in
+    let ssta_normal = if direction = `Rise then a.Ssta.rise else a.Ssta.fall in
     {
       circuit_name = Circuit.name circuit;
       direction;
@@ -74,16 +77,16 @@ let run_circuit ?(runs = 10_000) ?(seed = 42) ?mc_domains circuit ~case =
       mc = mc_stats;
     }
   in
-  [ row `Rise; row `Fall ]
+  { circuit; mc_result = mc; spsta_result = spsta; rows = [ row `Rise; row `Fall ] }
 
 let run_suite ?runs ?seed ?mc_domains ~case () =
-  let circuits = List.map Benchmarks.load Benchmarks.evaluated_names in
-  let per_circuit =
-    List.map (fun c -> run_circuit ?runs ?seed ?mc_domains c ~case) circuits
-  in
-  let rises = List.concat_map (fun rows -> List.filter (fun r -> r.direction = `Rise) rows) per_circuit in
-  let falls = List.concat_map (fun rows -> List.filter (fun r -> r.direction = `Fall) rows) per_circuit in
-  rises @ falls
+  List.map
+    (fun name -> measure ?runs ?seed ?mc_domains (Benchmarks.load name) ~case)
+    Benchmarks.evaluated_names
+
+let suite_rows measured =
+  let rows = List.concat_map (fun m -> m.rows) measured in
+  List.filter (fun r -> r.direction = `Rise) rows @ List.filter (fun r -> r.direction = `Fall) rows
 
 let render ~case rows =
   let table =
@@ -107,8 +110,7 @@ let render ~case rows =
         Table.cell_float r.mc.prob;
       ]
   in
-  let rises = List.filter (fun r -> r.direction = `Rise) rows in
-  let falls = List.filter (fun r -> r.direction = `Fall) rows in
+  let rises, falls = List.partition (fun r -> r.direction = `Rise) rows in
   List.iter add_row rises;
   if rises <> [] && falls <> [] then Table.add_separator table;
   List.iter add_row falls;

@@ -1,16 +1,10 @@
-(* The batch timing-analysis service.
-
-   Two entry points over the same machinery:
-
-   - [serve ic oc]: long-lived JSON-lines loop.  Requests are read from
-     [ic] one per line and dispatched to the worker pool; responses are
-     streamed to [oc] as they complete (completion order, tagged with the
-     request id).  EOF or a [shutdown] request drains the pool gracefully.
-   - [run_batch lines]: execute a request file concurrently and return the
-     responses in request order.
-
-   Control requests ([stats], [shutdown]) are answered by the server loop
-   itself; analysis requests go through {!Engine.execute} on a worker
+(* The batch timing-analysis service: one worker pool, circuit cache,
+   result memo, session registry and metrics.  [submit] / [try_submit]
+   hand a decoded request to the pool; {!Transport.run}, the long-lived
+   JSON-lines loop over stdio or a socket, calls [try_submit] and
+   answers [stats] and [shutdown] itself.  [run_batch lines] executes a
+   request file concurrently and returns the responses in request
+   order.  Analysis requests go through {!Engine.execute} on a worker
    domain, memoised via {!Cache}. *)
 
 type config = {

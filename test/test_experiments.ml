@@ -77,9 +77,13 @@ let test_fig4_shape () =
     (Float.abs r.Experiments.Fig4.weighted_sum_result.Experiments.Fig4.skewness < 0.1);
   Alcotest.(check bool) "rise probability positive" true (r.Experiments.Fig4.rise_probability > 0.0)
 
+let table2_rows ~runs c =
+  (Experiments.Table2.measure ~runs ~seed:3 c ~case:Experiments.Workloads.Case_i)
+    .Experiments.Table2.rows
+
 let test_table2_row_shape () =
   let c = Experiments.Benchmarks.s27 () in
-  let rows = Experiments.Table2.run_circuit ~runs:800 ~seed:3 c ~case:Experiments.Workloads.Case_i in
+  let rows = table2_rows ~runs:800 c in
   Alcotest.(check int) "two rows" 2 (List.length rows);
   List.iter
     (fun r ->
@@ -95,8 +99,8 @@ let test_table2_row_shape () =
 
 let test_table2_determinism () =
   let c = Experiments.Benchmarks.s27 () in
-  let a = Experiments.Table2.run_circuit ~runs:500 ~seed:3 c ~case:Experiments.Workloads.Case_i in
-  let b = Experiments.Table2.run_circuit ~runs:500 ~seed:3 c ~case:Experiments.Workloads.Case_i in
+  let a = table2_rows ~runs:500 c in
+  let b = table2_rows ~runs:500 c in
   List.iter2
     (fun x y ->
       Alcotest.(check (float 1e-12)) "same MC mu" x.Experiments.Table2.mc.Experiments.Table2.mu

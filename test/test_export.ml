@@ -63,7 +63,8 @@ let test_chip_delay_csv () =
 
 let test_table2_csv () =
   let c = Spsta_experiments.Benchmarks.s27 () in
-  let rows = Spsta_experiments.Table2.run_circuit ~runs:300 ~seed:3 c ~case:Workloads.Case_i in
+  let m = Spsta_experiments.Table2.measure ~runs:300 ~seed:3 c ~case:Workloads.Case_i in
+  let rows = m.Spsta_experiments.Table2.rows in
   let csv = Export.table2_csv rows in
   Alcotest.(check int) "header + 2 rows" 3 (List.length (lines csv))
 

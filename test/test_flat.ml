@@ -16,7 +16,6 @@ module Sta = Spsta_ssta.Sta
 module Sanitize = Spsta_engine.Propagate.Sanitize
 module Rng = Spsta_util.Rng
 module Json = Spsta_server.Json
-module Bench_track = Spsta_server.Bench_track
 
 let bits = Int64.bits_of_float
 
